@@ -2,10 +2,12 @@
 
 `contract` performs root contractions only; `enumerate_redexes` closes
 over every subterm position (the compatible closure, including under
-lambda and catch); `step_cbv` is the deterministic machine that descends
-through evaluation frames to the outermost position whose root contracts.
-Step counting is exact: one count per applied rule instance, frame
-navigation is free.
+lambda and catch).  The deterministic CBV strategy runs on a refocused
+machine (Danvy & Nielsen, "Refocusing in reduction semantics", 2004) that
+keeps the evaluation context as an explicit stack of frames, so a step
+resumes at the hole of the last contraction instead of re-descending from
+the root and rebuilding the spine.  Step counting is exact: one count per
+applied rule instance, frame navigation is free.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 from .surface import print_term
 from .syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, children, fcv, is_value,
-    replace_at, subst,
+    replace_at, replace_child, subst,
 )
 
 
@@ -97,40 +99,65 @@ def enumerate_redexes(t: Term) -> list[ReductionEvent]:
     return events
 
 
-def step_cbv(t: Term) -> Optional[ReductionEvent]:
-    """The standard CBV step, or None for values and uncaught throws.
+# ---------------------------------------------------------------------------
+# The CBV machine
 
-    Descends through App (function first, then argument once the function
-    is a value), Throw payloads, and Catch bodies, taking the outermost
-    position whose root contracts.
+# One evaluation frame: the child index the hole sits at and the parent node
+# around it.  Plugging a term into a frame rebuilds only the parent and
+# shares its other child.  A context is a list of frames, outermost first.
+Frame = tuple[int, Term]
+
+
+def _decompose(t: Term, frames: list[Frame]) -> tuple[Term, Optional[tuple[Rule, Term]]]:
+    """Walk down the CBV spine from `t` to the first position whose root
+    contracts, pushing one frame per move.
+
+    The walk contracts at the focus first, then moves into a non-value
+    function, then into a non-value argument, a non-value throw payload or
+    a catch body.  Returns the focus and its contraction, or None for the
+    contraction when the walk ends on a value, an uncaught throw or a
+    stuck term.
     """
-
-    def descend(u: Term, path: tuple[int, ...]) -> Optional[tuple[Rule, tuple[int, ...], Term]]:
-        c = contract(u)
+    while True:
+        c = contract(t)
         if c is not None:
-            return (c[0], path, c[1])
-        match u:
-            case App(fun, arg):
-                if not is_value(fun):
-                    return descend(fun, path + (0,))
-                if not is_value(arg):
-                    return descend(arg, path + (1,))
-                return None
-            case Throw(_, payload):
-                if not is_value(payload):
-                    return descend(payload, path + (0,))
-                return None
+            return t, c
+        match t:
+            case App(fun, _) if not is_value(fun):
+                frames.append((0, t))
+                t = fun
+            case App(_, arg) if not is_value(arg):
+                frames.append((1, t))
+                t = arg
+            case Throw(_, payload) if not is_value(payload):
+                frames.append((0, t))
+                t = payload
             case Catch(_, body):
-                return descend(body, path + (0,))
-        return None
+                frames.append((0, t))
+                t = body
+            case _:
+                return t, None
 
-    if is_value(t):
+
+def _plug(frames: list[Frame], t: Term) -> Term:
+    """The whole term: `t` plugged into the context `frames`."""
+    for index, parent in reversed(frames):
+        t = replace_child(parent, index, t)
+    return t
+
+
+def _event(frames: list[Frame], rule: Rule, contractum: Term) -> ReductionEvent:
+    return ReductionEvent(rule, tuple(index for index, _ in frames), _plug(frames, contractum))
+
+
+def step_cbv(t: Term) -> Optional[ReductionEvent]:
+    """The standard CBV step, or None for values, uncaught throws and
+    stuck terms: the first step of the machine from the root of `t`."""
+    frames: list[Frame] = []
+    _, c = _decompose(t, frames)
+    if c is None:
         return None
-    found = descend(t, ())
-    if found is None:
-        return None
-    rule, path, contractum = found
-    return ReductionEvent(rule, path, replace_at(t, path, contractum))
+    return _event(frames, *c)
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +204,38 @@ def _classify(t: Term) -> tuple[OutcomeKind, Optional[str]]:
 
 
 def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Outcome:
-    """Iterate step_cbv for at most `fuel` rule applications."""
+    """Run the CBV machine for at most `fuel` rule applications.
+
+    Each round decomposes from the focus to the next redex, contracts it,
+    and refocuses: while the contractum is a value or a throw, it is
+    plugged into the innermost frame, because only those can change
+    whether an enclosing frame is a redex.  Every frame on the stack is a
+    non-value application, a throw or a catch, so the climb stops at the
+    same outermost redex a walk from the root finds.  The whole term is
+    rebuilt once at the end, and once per step only for kept trace events.
+    """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     trace: Optional[list[ReductionEvent]] = [] if keep_trace else None
     truncated = False
     steps = 0
-    while steps < fuel:
-        event = step_cbv(t)
-        if event is None:
-            kind, cont = _classify(t)
-            return Outcome(kind, t, steps, cont, trace, truncated)
+    frames: list[Frame] = []
+    while True:
+        t, c = _decompose(t, frames)
+        if c is None or steps == fuel:
+            break
+        rule, t = c
         steps += 1
-        t = event.result
         if trace is not None:
             if len(trace) < TRACE_CAP:
-                trace.append(event)
+                trace.append(_event(frames, rule, t))
             else:
                 truncated = True
-    if step_cbv(t) is None:
+        while frames and (is_value(t) or isinstance(t, Throw)):
+            index, parent = frames.pop()
+            t = replace_child(parent, index, t)
+    t = _plug(frames, t)
+    if c is None:
         kind, cont = _classify(t)
         return Outcome(kind, t, steps, cont, trace, truncated)
     return Outcome(OutcomeKind.OUT_OF_FUEL, t, steps, None, trace, truncated)

@@ -37,6 +37,16 @@ def test_typed_generation_hits_target_type():
         assert infer(EMPTY, t) == UNIT_TYPE
 
 
+def test_typed_generation_fallback_types_at_target():
+    # all twenty typed draws for this seed leave a list element type open,
+    # so the generator falls back to a canonical inhabitant of [[1]]
+    from lcatch.syntax import ListType, UNIT_TYPE
+    cfg = GenConfig(seed=5000240, max_size=20)
+    assert infer(EMPTY, gen_term(cfg)) == ListType(ListType(UNIT_TYPE))
+    report = run_property("SubjectReduction", 1, cfg)
+    assert report.render() == "PROP SubjectReduction CASES 1 FAILURES 0"
+
+
 def test_untyped_generation_exercises_control():
     rng = random.Random(41)
     shapes = set()

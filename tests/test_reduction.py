@@ -2,15 +2,16 @@ import random
 
 import pytest
 
+import lcatch.reduction as reduction
 from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
 from lcatch.prelude import encode_nat, prelude_defs
 from lcatch.reduction import (
-    OutcomeKind, Rule, contract, enumerate_redexes, evaluate, matching_rules,
-    render_trace, step_cbv,
+    Outcome, OutcomeKind, ReductionEvent, Rule, _classify, contract,
+    enumerate_redexes, evaluate, matching_rules, render_trace, step_cbv,
 )
 from lcatch.surface import expand_term, parse_term
 from lcatch.syntax import (
-    App, Nil, Throw, UNIT, alpha_eq, canonical, is_value, replace_at,
+    App, Catch, Nil, Throw, UNIT, alpha_eq, canonical, is_value, replace_at,
     subterm_at,
 )
 
@@ -259,3 +260,116 @@ def test_steps_count_rule_applications_exactly():
     # two betas, no charge for frame navigation
     out = evaluate(p("(\\x. x) ((\\y. y) ())"))
     assert out.steps == 2
+
+
+# ------------- the machine against the root-redescent oracle -------------
+
+
+def oracle_step(t):
+    """The CBV step by a fresh walk from the root and a spine rebuild."""
+
+    def descend(u, path):
+        c = contract(u)
+        if c is not None:
+            return (c[0], path, c[1])
+        match u:
+            case App(fun, arg):
+                if not is_value(fun):
+                    return descend(fun, path + (0,))
+                if not is_value(arg):
+                    return descend(arg, path + (1,))
+                return None
+            case Throw(_, payload):
+                if not is_value(payload):
+                    return descend(payload, path + (0,))
+                return None
+            case Catch(_, body):
+                return descend(body, path + (0,))
+        return None
+
+    if is_value(t):
+        return None
+    found = descend(t, ())
+    if found is None:
+        return None
+    rule, path, contractum = found
+    return ReductionEvent(rule, path, replace_at(t, path, contractum))
+
+
+def oracle_evaluate(t, fuel, keep_trace=False):
+    """Iterate oracle_step for at most `fuel` rule applications."""
+    trace = [] if keep_trace else None
+    truncated = False
+    steps = 0
+    while steps < fuel:
+        event = oracle_step(t)
+        if event is None:
+            kind, cont = _classify(t)
+            return Outcome(kind, t, steps, cont, trace, truncated)
+        steps += 1
+        t = event.result
+        if trace is not None:
+            if len(trace) < reduction.TRACE_CAP:
+                trace.append(event)
+            else:
+                truncated = True
+    if oracle_step(t) is None:
+        kind, cont = _classify(t)
+        return Outcome(kind, t, steps, cont, trace, truncated)
+    return Outcome(OutcomeKind.OUT_OF_FUEL, t, steps, None, trace, truncated)
+
+
+def _assert_same_run(t, fuel):
+    got = evaluate(t, fuel=fuel, keep_trace=True)
+    want = oracle_evaluate(t, fuel, keep_trace=True)
+    assert (got.kind, got.term, got.steps, got.cont, got.trace_truncated) == \
+        (want.kind, want.term, want.steps, want.cont, want.trace_truncated)
+    assert [(e.rule, e.path, e.result) for e in got.trace] == \
+        [(e.rule, e.path, e.result) for e in want.trace]
+
+
+@pytest.mark.parametrize("typed", [True, False])
+@pytest.mark.parametrize("max_size", [8, 14, 20, 30])
+def test_machine_matches_oracle_on_generated_terms(typed, max_size):
+    for seed in range(60):
+        t = gen_term(GenConfig(seed=seed, max_size=max_size, typed=typed))
+        assert step_cbv(t) == oracle_step(t)
+        for fuel in (0, 1, 2, 5, 50):
+            _assert_same_run(t, fuel)
+
+
+@pytest.mark.parametrize("src", [
+    "plus #3 #2", "times #3 #3", "pred #4", "pred #0", "prodz [#2, #0, #3]",
+    "prodz [#2, #3]", "catch a. plus #2 (throw a #1)",
+])
+def test_machine_matches_oracle_on_prelude_programs(src):
+    t = expand_term(p(src), list(prelude_defs()))
+    _assert_same_run(t, reduction.DEFAULT_FUEL)
+
+
+def test_machine_matches_oracle_past_trace_cap(monkeypatch):
+    monkeypatch.setattr(reduction, "TRACE_CAP", 7)
+    t = expand_term(p("times #2 #2"), list(prelude_defs()))
+    _assert_same_run(t, reduction.DEFAULT_FUEL)
+    assert evaluate(t, keep_trace=True).trace_truncated
+
+
+@pytest.mark.parametrize("program", ["plus #{n} #7", "times #{n} #{n}"])
+def test_contractions_per_step_stay_constant_as_terms_grow(monkeypatch, program):
+    # the machine resumes at the hole, so the redex search per step does
+    # not grow with the term; a root re-descent grows linearly
+    calls = 0
+    real = reduction.contract
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return real(t)
+
+    monkeypatch.setattr(reduction, "contract", counting)
+    defs = list(prelude_defs())
+    for n in (5, 20, 40):
+        calls = 0
+        out = evaluate(expand_term(p(program.format(n=n)), defs))
+        assert out.kind is OutcomeKind.VALUE
+        assert calls <= 2 * out.steps
