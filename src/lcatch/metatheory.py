@@ -460,10 +460,14 @@ def _check_fcv_closed(t: Term) -> Optional[str]:
 
 
 def run_property(prop: str, cases: int, cfg: GenConfig) -> PropertyReport:
-    """Run a named metatheory property over `cases` generated terms."""
+    """Run a named metatheory property over `cases` generated terms.
+
+    `cases_run` counts the cases actually checked: a Progress case whose
+    every draw is a value is skipped.
+    """
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
-    report = PropertyReport(prop, cases)
+    report = PropertyReport(prop, 0)
 
     typed_props = {"SubjectReduction", "Progress", "StrongNormalization",
                    "ValueShapes", "FcvClosed"}
@@ -510,6 +514,7 @@ def run_property(prop: str, cases: int, cfg: GenConfig) -> PropertyReport:
                 return (size(u) <= _budget
                         and _check_confluence_case(u, _prop, _budget) is not None)
 
+        report.cases_run += 1
         if detail is not None:
             minimized = term
             if shrink_pred is not None:

@@ -49,7 +49,6 @@ class MetaVar(Type):
 
 
 UNIT_TYPE = UnitType()
-NAT_TYPE = ListType(UNIT_TYPE)
 
 
 def type_has_meta(ty: Type) -> bool:
@@ -124,7 +123,6 @@ class Throw(Term):
 
 
 UNIT = UnitVal()
-NIL = Nil()
 CONS = ConsC()
 LREC = LrecC()
 
@@ -135,13 +133,6 @@ def cons(head: Term, tail: Term) -> Term:
 
 def lrec(base: Term, step: Term, lst: Term) -> Term:
     return App(App(App(LREC, base), step), lst)
-
-
-def list_term(items: list[Term]) -> Term:
-    out: Term = NIL
-    for item in reversed(items):
-        out = cons(item, out)
-    return out
 
 
 def children(t: Term) -> tuple[Term, ...]:

@@ -1,12 +1,17 @@
 """Type checking and monomorphic inference.
 
-Inference is syntax-directed constraint generation plus first-order
-unification.  Each occurrence of nil, cons, lrec, and each unannotated
-binder gets fresh metavariables; catch extends the continuation
-environment and its binder type must solve to an arrow-free type; throw
+`infer`, `check` and `derivable` share one pipeline.  `_constrain` walks
+the term once, generating unification constraints and returning its
+type: nil, cons, lrec and each unannotated binder get fresh
+metavariables, catch extends the continuation environment, and throw
 checks its payload against the bound continuation type and itself takes
-any type.  Metavariables left unsolved in the result type or in any
-binder type are an error, never defaulted.
+any type.  On the way it lists the binder side conditions in preorder
+(lambda domain, catch binder, throw payload; a throw reserves its entry
+before visiting the payload), so the first violation reported is the
+outermost, leftmost one.  The solver is union-find over metavariables
+with path compression.  After solving, each side condition is zonked
+and checked once: its type must be solved, never defaulted, and a catch
+binder or throw payload must be arrow-free.
 
 `infer_typed` additionally returns a tree of fully solved node types; the
 `replay` checker re-validates such a tree directly against the derivation
@@ -22,7 +27,7 @@ from typing import Optional
 from .surface import print_type
 from .syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar, Nil, Term,
-    Throw, Type, UNIT_TYPE, UnitVal, Var, type_has_meta,
+    Throw, Type, UNIT_TYPE, UnitVal, Var, children, type_has_meta,
 )
 
 
@@ -107,33 +112,49 @@ class _Solver:
         return MetaVar(self.counter)
 
     def prune(self, ty: Type) -> Type:
+        """What `ty` stands for; the metavariables on the way now point at it."""
+        chain = []
         while isinstance(ty, MetaVar) and ty.ident in self.assignments:
+            chain.append(ty.ident)
             ty = self.assignments[ty.ident]
+        for ident in chain:
+            self.assignments[ident] = ty
         return ty
 
     def zonk(self, ty: Type) -> Type:
         ty = self.prune(ty)
         match ty:
             case ListType(elem):
-                return ListType(self.zonk(elem))
+                new = self.zonk(elem)
+                return ty if new is elem else ListType(new)
             case ArrowType(dom, cod):
-                return ArrowType(self.zonk(dom), self.zonk(cod))
+                new_dom, new_cod = self.zonk(dom), self.zonk(cod)
+                return ty if new_dom is dom and new_cod is cod else ArrowType(new_dom, new_cod)
         return ty
+
+    def ground(self, ty: Type) -> None:
+        """Solve every metavariable still open in `ty` as the unit type."""
+        ty = self.prune(ty)
+        match ty:
+            case MetaVar(ident):
+                self.assignments[ident] = UNIT_TYPE
+            case ListType(elem):
+                self.ground(elem)
+            case ArrowType(dom, cod):
+                self.ground(dom)
+                self.ground(cod)
 
     def _occurs(self, ident: int, ty: Type) -> bool:
         ty = self.prune(ty)
-        match ty:
-            case MetaVar(i):
-                return i == ident
-            case ListType(elem):
-                return self._occurs(ident, elem)
-            case ArrowType(dom, cod):
-                return self._occurs(ident, dom) or self._occurs(ident, cod)
-        return False
+        if isinstance(ty, ArrowType):
+            return self._occurs(ident, ty.dom) or self._occurs(ident, ty.cod)
+        if isinstance(ty, ListType):
+            return self._occurs(ident, ty.elem)
+        return isinstance(ty, MetaVar) and ty.ident == ident
 
     def unify(self, a: Type, b: Type, path: tuple[int, ...]) -> None:
         a, b = self.prune(a), self.prune(b)
-        if a == b:
+        if a is b or a == b:
             return
         if isinstance(a, MetaVar):
             if self._occurs(a.ident, b):
@@ -145,14 +166,13 @@ class _Solver:
         if isinstance(b, MetaVar):
             self.unify(b, a, path)
             return
-        match a, b:
-            case ListType(e1), ListType(e2):
-                self.unify(e1, e2, path)
-                return
-            case ArrowType(d1, c1), ArrowType(d2, c2):
-                self.unify(d1, d2, path)
-                self.unify(c1, c2, path)
-                return
+        if isinstance(a, ArrowType) and isinstance(b, ArrowType):
+            self.unify(a.dom, b.dom, path)
+            self.unify(a.cod, b.cod, path)
+            return
+        if isinstance(a, ListType) and isinstance(b, ListType):
+            self.unify(a.elem, b.elem, path)
+            return
         raise TypingError(
             ErrorKind.MISMATCH,
             f"expected {print_type(self.zonk(a))}, found {print_type(self.zonk(b))}",
@@ -162,118 +182,124 @@ class _Solver:
 # ---------------------------------------------------------------------------
 # Inference
 
-
-@dataclass(frozen=True)
-class _RawTyped:
-    term: Term
-    type: Type
-    children: tuple["_RawTyped", ...]
+# Side conditions: what an unsolved type is called, and the error for an
+# arrow in it (None: the result and a lambda domain may have one).
+_RESULT = ("result type", None, None)
+_LAM = ("binder type", None, None)
+_CATCH = ("catch binder type", ErrorKind.NON_ARROW_FREE_CATCH, "catch bound at")
+_THROW = ("throw payload type", ErrorKind.NON_ARROW_FREE_THROW, "throw payload at")
 
 
 def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
-               delta: dict[str, Type], path: tuple[int, ...]) -> _RawTyped:
+               delta: dict[str, Type], path: tuple[int, ...],
+               conds: list, types: Optional[dict[tuple[int, ...], Type]]) -> Type:
+    """The type of `t`; its constraints go to `solver`, its binder side
+    conditions to `conds` in preorder, and, if `types` is given, the type
+    of every node to `types` by path."""
     match t:
         case Var(name):
             if name not in gamma:
                 raise TypingError(ErrorKind.UNBOUND_VAR,
                                   f"unbound variable {name!r}", path=path)
-            return _RawTyped(t, gamma[name], ())
+            ty = gamma[name]
         case UnitVal():
-            return _RawTyped(t, UNIT_TYPE, ())
+            ty = UNIT_TYPE
         case Nil():
-            return _RawTyped(t, ListType(solver.fresh()), ())
+            ty = ListType(solver.fresh())
         case ConsC():
             elem = solver.fresh()
-            return _RawTyped(t, ArrowType(elem, ArrowType(ListType(elem), ListType(elem))), ())
+            ty = ArrowType(elem, ArrowType(ListType(elem), ListType(elem)))
         case LrecC():
             res = solver.fresh()
             elem = solver.fresh()
             step = ArrowType(elem, ArrowType(ListType(elem), ArrowType(res, res)))
-            return _RawTyped(t, ArrowType(res, ArrowType(step, ArrowType(ListType(elem), res))), ())
+            ty = ArrowType(res, ArrowType(step, ArrowType(ListType(elem), res)))
         case Lam(param, annot, body):
             dom = annot if annot is not None else solver.fresh()
-            inner = _constrain(solver, body, {**gamma, param: dom}, delta, path + (0,))
-            return _RawTyped(t, ArrowType(dom, inner.type), (inner,))
+            conds.append((_LAM, dom, path))
+            ty = ArrowType(dom, _constrain(solver, body, {**gamma, param: dom}, delta,
+                                           path + (0,), conds, types))
         case App(fun, arg):
-            f = _constrain(solver, fun, gamma, delta, path + (0,))
-            a = _constrain(solver, arg, gamma, delta, path + (1,))
-            res = solver.fresh()
-            solver.unify(f.type, ArrowType(a.type, res), path)
-            return _RawTyped(t, res, (f, a))
+            f = _constrain(solver, fun, gamma, delta, path + (0,), conds, types)
+            a = _constrain(solver, arg, gamma, delta, path + (1,), conds, types)
+            ty = solver.fresh()
+            solver.unify(f, ArrowType(a, ty), path)
         case Catch(cont, body):
-            psi = solver.fresh()
-            inner = _constrain(solver, body, gamma, {**delta, cont: psi}, path + (0,))
-            solver.unify(psi, inner.type, path)
-            return _RawTyped(t, psi, (inner,))
+            ty = solver.fresh()
+            conds.append((_CATCH, ty, path))
+            inner = _constrain(solver, body, gamma, {**delta, cont: ty}, path + (0,),
+                               conds, types)
+            solver.unify(ty, inner, path)
         case Throw(cont, payload):
             if cont not in delta:
                 raise TypingError(ErrorKind.UNBOUND_CONT_VAR,
                                   f"unbound continuation variable {cont!r}", path=path)
-            inner = _constrain(solver, payload, gamma, delta, path + (0,))
-            solver.unify(delta[cont], inner.type, path)
-            return _RawTyped(t, solver.fresh(), (inner,))
-    raise ValueError(f"not a term: {t!r}")
+            slot = len(conds)
+            conds.append(None)
+            inner = _constrain(solver, payload, gamma, delta, path + (0,), conds, types)
+            conds[slot] = (_THROW, inner, path)
+            solver.unify(delta[cont], inner, path)
+            ty = solver.fresh()
+        case _:
+            raise ValueError(f"not a term: {t!r}")
+    if types is not None:
+        types[path] = ty
+    return ty
 
 
-def _finalize(solver: _Solver, raw: _RawTyped, path: tuple[int, ...]) -> TypedTerm:
-    """Zonk every node type and run the post-solution binder checks."""
-    ty = solver.zonk(raw.type)
-    match raw.term:
-        case Lam():
-            dom = ty.dom if isinstance(ty, ArrowType) else ty
-            if type_has_meta(dom):
-                raise TypingError(ErrorKind.AMBIGUOUS_TYPE,
-                                  f"unsolved binder type {print_type(dom)}",
-                                  found=dom, path=path)
-        case Catch():
-            if type_has_meta(ty):
-                raise TypingError(ErrorKind.AMBIGUOUS_TYPE,
-                                  f"unsolved catch binder type {print_type(ty)}",
-                                  found=ty, path=path)
-            if not is_arrow_free(ty):
-                raise TypingError(ErrorKind.NON_ARROW_FREE_CATCH,
-                                  f"catch bound at non-arrow-free type {print_type(ty)}",
-                                  found=ty, path=path)
-        case Throw():
-            payload_ty = solver.zonk(raw.children[0].type)
-            if type_has_meta(payload_ty):
-                raise TypingError(ErrorKind.AMBIGUOUS_TYPE,
-                                  f"unsolved throw payload type {print_type(payload_ty)}",
-                                  found=payload_ty, path=path)
-            if not is_arrow_free(payload_ty):
-                raise TypingError(ErrorKind.NON_ARROW_FREE_THROW,
-                                  f"throw payload at non-arrow-free type {print_type(payload_ty)}",
-                                  found=payload_ty, path=path)
-    kids = tuple(_finalize(solver, child, path + (i,))
-                 for i, child in enumerate(raw.children))
-    return TypedTerm(raw.term, ty, kids)
+def _solve(env: TypingEnv, t: Term, expected: Optional[Type] = None, *,
+           ground: bool = False,
+           types: Optional[dict[tuple[int, ...], Type]] = None) -> Type:
+    """Constrain `t`, unify with `expected` (else the result type must be
+    solved), check the side conditions (with `ground`, first solving their
+    open metavariables as unit), and return the solved type of `t`."""
+    solver = _Solver()
+    conds: list = []
+    ty = _constrain(solver, t, dict(env.gamma), dict(env.delta), (), conds, types)
+    if expected is None:
+        conds.insert(0, (_RESULT, ty, ()))
+    else:
+        solver.unify(expected, ty, ())
+    for (what, arrow_kind, arrow_what), cond_ty, path in conds:
+        if ground:
+            solver.ground(cond_ty)
+        cond_ty = solver.zonk(cond_ty)
+        if type_has_meta(cond_ty):
+            raise TypingError(ErrorKind.AMBIGUOUS_TYPE,
+                              f"unsolved {what} {print_type(cond_ty)}",
+                              found=cond_ty, path=path)
+        if arrow_kind is not None and not is_arrow_free(cond_ty):
+            raise TypingError(arrow_kind,
+                              f"{arrow_what} non-arrow-free type {print_type(cond_ty)}",
+                              found=cond_ty, path=path)
+    if types is not None:
+        for node_path, node_ty in types.items():
+            types[node_path] = solver.zonk(node_ty)
+    return solver.zonk(ty)
 
 
 def infer_typed(env: TypingEnv, t: Term) -> TypedTerm:
     """Infer and return the fully solved typed tree for `t`."""
-    solver = _Solver()
-    raw = _constrain(solver, t, dict(env.gamma), dict(env.delta), ())
-    root_ty = solver.zonk(raw.type)
-    if type_has_meta(root_ty):
-        raise TypingError(ErrorKind.AMBIGUOUS_TYPE,
-                          f"unsolved result type {print_type(root_ty)}",
-                          found=root_ty, path=())
-    return _finalize(solver, raw, ())
+    types: dict[tuple[int, ...], Type] = {}
+    _solve(env, t, types=types)
+
+    def build(node: Term, path: tuple[int, ...]) -> TypedTerm:
+        return TypedTerm(node, types[path], tuple(
+            build(child, path + (i,)) for i, child in enumerate(children(node))))
+
+    return build(t, ())
 
 
 def infer(env: TypingEnv, t: Term) -> Type:
     """Infer the unique solved type of `t`, or raise TypingError."""
-    return infer_typed(env, t).type
+    return _solve(env, t)
 
 
 def check(env: TypingEnv, t: Term, ty: Type) -> None:
     """Check `t` against `ty` (which must contain no metavariables)."""
     if type_has_meta(ty):
         raise ValueError("check called with a metavariable in the expected type")
-    solver = _Solver()
-    raw = _constrain(solver, t, dict(env.gamma), dict(env.delta), ())
-    solver.unify(ty, raw.type, ())
-    _finalize(solver, raw, ())
+    _solve(env, t, ty)
 
 
 def derivable(env: TypingEnv, t: Term, ty: Type) -> bool:
@@ -286,37 +312,11 @@ def derivable(env: TypingEnv, t: Term, ty: Type) -> bool:
     satisfies the arrow-free side conditions; derivability is therefore
     exactly: constraints solve, and the instantiated binder checks pass.
     """
-    solver = _Solver()
     try:
-        raw = _constrain(solver, t, dict(env.gamma), dict(env.delta), ())
-        solver.unify(ty, raw.type, ())
-    except TypingError:
-        return False
-
-    def close(node: _RawTyped) -> None:
-        for meta in _unsolved_metas(solver, node.type):
-            solver.assignments[meta] = UNIT_TYPE
-        for child in node.children:
-            close(child)
-
-    close(raw)
-    try:
-        _finalize(solver, raw, ())
+        _solve(env, t, ty, ground=True)
     except TypingError:
         return False
     return True
-
-
-def _unsolved_metas(solver: _Solver, ty: Type) -> list[int]:
-    ty = solver.prune(ty)
-    match ty:
-        case MetaVar(ident):
-            return [ident]
-        case ListType(elem):
-            return _unsolved_metas(solver, elem)
-        case ArrowType(dom, cod):
-            return _unsolved_metas(solver, dom) + _unsolved_metas(solver, cod)
-    return []
 
 
 # ---------------------------------------------------------------------------

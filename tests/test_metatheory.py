@@ -8,7 +8,7 @@ from lcatch.metatheory import (
 )
 from lcatch.reduction import OutcomeKind, Rule, enumerate_redexes, evaluate
 from lcatch.surface import parse_term
-from lcatch.syntax import Catch, UNIT, alpha_eq, size
+from lcatch.syntax import Catch, UNIT, UNIT_TYPE, alpha_eq, size
 from lcatch.typecheck import TypingEnv, infer
 
 p = parse_term
@@ -91,6 +91,13 @@ def test_all_properties_pass_smoke():
 def test_run_property_zero_cases():
     report = run_property("SubjectReduction", 0, GenConfig(seed=0))
     assert report.cases_run == 0 and report.passed
+
+
+def test_run_property_counts_only_checked_cases():
+    # at size 1 every unit-typed term is the value (), so Progress skips all
+    cfg = GenConfig(seed=0, max_size=1, target_type=UNIT_TYPE)
+    report = run_property("Progress", 5, cfg)
+    assert report.render() == "PROP Progress CASES 0 FAILURES 0"
 
 
 def test_run_property_rejects_unknown_name():

@@ -1,14 +1,17 @@
+from dataclasses import dataclass
+
 import pytest
 
 from lcatch.metatheory import GenConfig, gen_term
-from lcatch.prelude import lookup
+from lcatch.prelude import lookup, prelude_defs
 from lcatch.surface import parse_term, print_type
 from lcatch.syntax import (
-    ArrowType, ListType, MetaVar, Throw, UNIT, UNIT_TYPE, Var,
+    App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar, Nil, Term,
+    Throw, Type, UNIT, UNIT_TYPE, UnitVal, Var, type_has_meta,
 )
 from lcatch.typecheck import (
-    ErrorKind, TypingEnv, TypingError, check, derivable, infer, infer_typed,
-    is_arrow_free, replay,
+    ErrorKind, TypedTerm, TypingEnv, TypingError, check, derivable, infer,
+    infer_typed, is_arrow_free, replay,
 )
 
 p = parse_term
@@ -184,3 +187,264 @@ def test_weakening_preserves_inferred_types():
     for seed in range(150):
         t = gen_term(GenConfig(seed=seed, max_size=16, typed=True))
         assert infer(EMPTY, t) == infer(wide, t)
+
+
+# ------------- side-condition order -------------
+
+
+def test_first_error_is_outermost_leftmost_side_condition():
+    # the catch at /0/0 binds an arrow; the one at /1 is ambiguous and
+    # comes later in preorder
+    with pytest.raises(TypingError) as info:
+        infer(EMPTY, p("(\\u:[1]. catch b. \\y:1. y) (catch a. throw a [])"))
+    assert info.value.render() == \
+        "NonArrowFreeCatch at /0/0: catch bound at non-arrow-free type 1 -> 1"
+
+
+def test_lambda_domain_checked_before_its_body():
+    with pytest.raises(TypingError) as info:
+        infer(EMPTY, p("(\\x. ()) (catch a. throw a [])"))
+    assert info.value.render() == "AmbiguousType at /0: unsolved binder type [?3]"
+
+
+# ------------- the pipeline against the two-pass checker -------------
+# The checker as it was before the single pipeline: constraint generation
+# builds a tree of node types, and `_finalize` zonks every node and checks
+# the binder side conditions on the way down.  It is the oracle for every
+# result, error kind, message, path and metavariable number.
+
+
+class _OracleSolver:
+    def __init__(self):
+        self.assignments = {}
+        self.counter = 0
+
+    def fresh(self):
+        self.counter += 1
+        return MetaVar(self.counter)
+
+    def prune(self, ty):
+        while isinstance(ty, MetaVar) and ty.ident in self.assignments:
+            ty = self.assignments[ty.ident]
+        return ty
+
+    def zonk(self, ty):
+        ty = self.prune(ty)
+        match ty:
+            case ListType(elem):
+                return ListType(self.zonk(elem))
+            case ArrowType(dom, cod):
+                return ArrowType(self.zonk(dom), self.zonk(cod))
+        return ty
+
+    def occurs(self, ident, ty):
+        ty = self.prune(ty)
+        match ty:
+            case MetaVar(i):
+                return i == ident
+            case ListType(elem):
+                return self.occurs(ident, elem)
+            case ArrowType(dom, cod):
+                return self.occurs(ident, dom) or self.occurs(ident, cod)
+        return False
+
+    def unify(self, a, b, path):
+        a, b = self.prune(a), self.prune(b)
+        if a == b:
+            return
+        if isinstance(a, MetaVar):
+            if self.occurs(a.ident, b):
+                raise TypingError(ErrorKind.OCCURS_CHECK,
+                                  f"occurs check: ?{a.ident} in {print_type(self.zonk(b))}",
+                                  path=path)
+            self.assignments[a.ident] = b
+            return
+        if isinstance(b, MetaVar):
+            self.unify(b, a, path)
+            return
+        match a, b:
+            case ListType(e1), ListType(e2):
+                self.unify(e1, e2, path)
+                return
+            case ArrowType(d1, c1), ArrowType(d2, c2):
+                self.unify(d1, d2, path)
+                self.unify(c1, c2, path)
+                return
+        raise TypingError(
+            ErrorKind.MISMATCH,
+            f"expected {print_type(self.zonk(a))}, found {print_type(self.zonk(b))}",
+            expected=self.zonk(a), found=self.zonk(b), path=path)
+
+
+@dataclass(frozen=True)
+class _RawTyped:
+    term: Term
+    type: Type
+    children: tuple
+
+
+def _oracle_constrain(solver, t, gamma, delta, path):
+    match t:
+        case Var(name):
+            if name not in gamma:
+                raise TypingError(ErrorKind.UNBOUND_VAR,
+                                  f"unbound variable {name!r}", path=path)
+            return _RawTyped(t, gamma[name], ())
+        case UnitVal():
+            return _RawTyped(t, UNIT_TYPE, ())
+        case Nil():
+            return _RawTyped(t, ListType(solver.fresh()), ())
+        case ConsC():
+            elem = solver.fresh()
+            return _RawTyped(t, ArrowType(elem, ArrowType(ListType(elem), ListType(elem))), ())
+        case LrecC():
+            res = solver.fresh()
+            elem = solver.fresh()
+            step = ArrowType(elem, ArrowType(ListType(elem), ArrowType(res, res)))
+            return _RawTyped(t, ArrowType(res, ArrowType(step, ArrowType(ListType(elem), res))), ())
+        case Lam(param, annot, body):
+            dom = annot if annot is not None else solver.fresh()
+            inner = _oracle_constrain(solver, body, {**gamma, param: dom}, delta, path + (0,))
+            return _RawTyped(t, ArrowType(dom, inner.type), (inner,))
+        case App(fun, arg):
+            f = _oracle_constrain(solver, fun, gamma, delta, path + (0,))
+            a = _oracle_constrain(solver, arg, gamma, delta, path + (1,))
+            res = solver.fresh()
+            solver.unify(f.type, ArrowType(a.type, res), path)
+            return _RawTyped(t, res, (f, a))
+        case Catch(cont, body):
+            psi = solver.fresh()
+            inner = _oracle_constrain(solver, body, gamma, {**delta, cont: psi}, path + (0,))
+            solver.unify(psi, inner.type, path)
+            return _RawTyped(t, psi, (inner,))
+        case Throw(cont, payload):
+            if cont not in delta:
+                raise TypingError(ErrorKind.UNBOUND_CONT_VAR,
+                                  f"unbound continuation variable {cont!r}", path=path)
+            inner = _oracle_constrain(solver, payload, gamma, delta, path + (0,))
+            solver.unify(delta[cont], inner.type, path)
+            return _RawTyped(t, solver.fresh(), (inner,))
+    raise ValueError(f"not a term: {t!r}")
+
+
+def _oracle_finalize(solver, raw, path):
+    ty = solver.zonk(raw.type)
+    match raw.term:
+        case Lam():
+            dom = ty.dom if isinstance(ty, ArrowType) else ty
+            if type_has_meta(dom):
+                raise TypingError(ErrorKind.AMBIGUOUS_TYPE,
+                                  f"unsolved binder type {print_type(dom)}",
+                                  found=dom, path=path)
+        case Catch():
+            if type_has_meta(ty):
+                raise TypingError(ErrorKind.AMBIGUOUS_TYPE,
+                                  f"unsolved catch binder type {print_type(ty)}",
+                                  found=ty, path=path)
+            if not is_arrow_free(ty):
+                raise TypingError(ErrorKind.NON_ARROW_FREE_CATCH,
+                                  f"catch bound at non-arrow-free type {print_type(ty)}",
+                                  found=ty, path=path)
+        case Throw():
+            payload_ty = solver.zonk(raw.children[0].type)
+            if type_has_meta(payload_ty):
+                raise TypingError(ErrorKind.AMBIGUOUS_TYPE,
+                                  f"unsolved throw payload type {print_type(payload_ty)}",
+                                  found=payload_ty, path=path)
+            if not is_arrow_free(payload_ty):
+                raise TypingError(ErrorKind.NON_ARROW_FREE_THROW,
+                                  f"throw payload at non-arrow-free type {print_type(payload_ty)}",
+                                  found=payload_ty, path=path)
+    kids = tuple(_oracle_finalize(solver, child, path + (i,))
+                 for i, child in enumerate(raw.children))
+    return TypedTerm(raw.term, ty, kids)
+
+
+def oracle_infer_typed(env, t):
+    solver = _OracleSolver()
+    raw = _oracle_constrain(solver, t, dict(env.gamma), dict(env.delta), ())
+    root_ty = solver.zonk(raw.type)
+    if type_has_meta(root_ty):
+        raise TypingError(ErrorKind.AMBIGUOUS_TYPE,
+                          f"unsolved result type {print_type(root_ty)}",
+                          found=root_ty, path=())
+    return _oracle_finalize(solver, raw, ())
+
+
+def oracle_check(env, t, ty):
+    solver = _OracleSolver()
+    raw = _oracle_constrain(solver, t, dict(env.gamma), dict(env.delta), ())
+    solver.unify(ty, raw.type, ())
+    _oracle_finalize(solver, raw, ())
+
+
+def oracle_derivable(env, t, ty):
+    solver = _OracleSolver()
+    try:
+        raw = _oracle_constrain(solver, t, dict(env.gamma), dict(env.delta), ())
+        solver.unify(ty, raw.type, ())
+    except TypingError:
+        return False
+
+    def unsolved(ty):
+        ty = solver.prune(ty)
+        match ty:
+            case MetaVar(ident):
+                return [ident]
+            case ListType(elem):
+                return unsolved(elem)
+            case ArrowType(dom, cod):
+                return unsolved(dom) + unsolved(cod)
+        return []
+
+    def close(node):
+        for meta in unsolved(node.type):
+            solver.assignments[meta] = UNIT_TYPE
+        for child in node.children:
+            close(child)
+
+    close(raw)
+    try:
+        _oracle_finalize(solver, raw, ())
+    except TypingError:
+        return False
+    return True
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except TypingError as err:
+        return ("error", err.kind, str(err), err.path, err.expected, err.found)
+
+
+# Free variables of untyped generated terms, so that they get past the
+# unbound-variable check and reach unification and the side conditions.
+WIDE = TypingEnv(gamma={"x": UNIT_TYPE, "y": NAT, "z": ArrowType(NAT, NAT)},
+                 delta={"a": UNIT_TYPE, "b": NAT})
+CHECK_TYPES = (UNIT_TYPE, NAT, ArrowType(UNIT_TYPE, UNIT_TYPE))
+
+
+def assert_same_as_oracle(env, t):
+    got = _outcome(infer, env, t)
+    assert got == _outcome(lambda: oracle_infer_typed(env, t).type)
+    if got[0] == "ok":
+        assert infer_typed(env, t) == oracle_infer_typed(env, t)
+    for ty in CHECK_TYPES:
+        assert _outcome(check, env, t, ty) == _outcome(oracle_check, env, t, ty)
+        assert derivable(env, t, ty) == oracle_derivable(env, t, ty)
+
+
+@pytest.mark.parametrize("typed", [True, False])
+@pytest.mark.parametrize("max_size", [8, 14, 20])
+def test_pipeline_matches_oracle_on_generated_terms(typed, max_size):
+    for seed in range(150):
+        t = gen_term(GenConfig(seed=seed, max_size=max_size, typed=typed))
+        assert_same_as_oracle(EMPTY, t)
+        if not typed:
+            assert_same_as_oracle(WIDE, t)
+
+
+def test_pipeline_matches_oracle_on_prelude_definitions():
+    for _name, term in prelude_defs():
+        assert_same_as_oracle(EMPTY, term)
