@@ -5,8 +5,9 @@ expression), redexes (list one-step reducts), develop (apply the
 complete development), meta (run the metatheory property suites).
 
 Exit codes: 0 success; 1 parse error; 2 type error; 3 uncaught throw;
-4 out of fuel; 5 metatheory property failure.  Identical invocations
-produce byte-identical output.
+4 out of fuel; 5 metatheory property failure; 6 resource exhaustion (a
+term nested too deeply for the interpreter's recursion limit).
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_TYPE = 2
 EXIT_UNCAUGHT = 3
 EXIT_FUEL = 4
 EXIT_META = 5
+EXIT_RESOURCE = 6
 
 _PROP_ALIASES = {
     "sr": "SubjectReduction",
@@ -219,7 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        print("resource error: term nested too deeply (recursion limit exceeded)",
+              file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

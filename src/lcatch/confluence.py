@@ -6,22 +6,25 @@ in the value) genuinely matter only there.  Side conditions written on
 values are read as constraints on free *continuation* variables,
 matching the reduction rules.
 
-A compound context is a stack of evaluation frames (apply-to, applied-
-value, throw); a throw can jump over a whole such stack in one parallel
-step.  The complete development contracts every redex at once and is the
-joinability witness: for any parallel reduct t' of t, t' parallel-steps
-to the complete development of t.
+A compound context is a stack of the CBV machine's evaluation frames
+(apply-to, applied-value, throw); a throw can jump over a whole such
+stack in one parallel step, which generalizes the throw rule.  Every
+other rule comes from the redex view in `reduction`: development
+contracts it on developed slots, parallel reduction on every combination
+of the slots' parallel reducts.  The complete development contracts every
+redex at once and is the joinability witness: for any parallel reduct t'
+of t, t' parallel-steps to the complete development of t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Optional
 
-from .reduction import enumerate_redexes
+from .reduction import Frame, Rule, _plug, contractum, enumerate_redexes, redex
 from .syntax import (
-    App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, alpha_eq, canonical,
-    fcv, is_value, size, subst,
+    App, Catch, Lam, Term, Throw, alpha_eq, canonical, is_value, size,
 )
 
 
@@ -37,47 +40,14 @@ DEFAULT_NODE_BUDGET = 14
 
 
 @dataclass(frozen=True)
-class AppFunFrame:
-    """Hole in function position, applied to `arg`."""
-
-    arg: Term
-
-
-@dataclass(frozen=True)
-class AppArgFrame:
-    """Hole in argument position under the value `fun`."""
-
-    fun: Term
-
-
-@dataclass(frozen=True)
-class ThrowFrame:
-    """Hole inside the payload of `throw cont`."""
-
-    cont: str
-
-
-Frame = AppFunFrame | AppArgFrame | ThrowFrame
-
-
-@dataclass(frozen=True)
 class CompoundContextView:
     """A decomposition t = frames[subject], with subject a throw."""
 
     frames: tuple[Frame, ...]
-    hole_subject: Term
+    hole_subject: Throw
 
     def reassemble(self) -> Term:
-        out = self.hole_subject
-        for frame in reversed(self.frames):
-            match frame:
-                case AppFunFrame(arg):
-                    out = App(out, arg)
-                case AppArgFrame(fun):
-                    out = App(fun, out)
-                case ThrowFrame(cont):
-                    out = Throw(cont, out)
-        return out
+        return _plug(self.frames, self.hole_subject)
 
 
 def throw_decompositions(t: Term) -> list[CompoundContextView]:
@@ -88,20 +58,22 @@ def throw_decompositions(t: Term) -> list[CompoundContextView]:
     results are nested, ordered outermost first.
     """
     out: list[CompoundContextView] = []
-
-    def walk(u: Term, frames: tuple[Frame, ...]) -> None:
-        match u:
+    frames: list[Frame] = []
+    while True:
+        match t:
             case App(fun, arg):
                 if is_value(fun):
-                    walk(arg, frames + (AppArgFrame(fun),))
+                    frames.append((1, t))
+                    t = arg
                 else:
-                    walk(fun, frames + (AppFunFrame(arg),))
-            case Throw(cont, payload):
-                out.append(CompoundContextView(frames, u))
-                walk(payload, frames + (ThrowFrame(cont),))
-
-    walk(t, ())
-    return out
+                    frames.append((0, t))
+                    t = fun
+            case Throw(_, payload):
+                out.append(CompoundContextView(tuple(frames), t))
+                frames.append((0, t))
+                t = payload
+            case _:
+                return out
 
 
 def _maximal_decomposition(t: Term) -> Optional[CompoundContextView]:
@@ -110,41 +82,29 @@ def _maximal_decomposition(t: Term) -> Optional[CompoundContextView]:
     return views[-1] if views else None
 
 
+def _view_redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
+    """The redex view of `t`, leaving the throw rule to compound contexts."""
+    found = redex(t)
+    return None if found is None or found[0] is Rule.THROW else found
+
+
 # ---------------------------------------------------------------------------
 # Complete development
 
 
 def complete_development(t: Term) -> Term:
     """Contract all redexes of `t` simultaneously (Takahashi's witness)."""
+    found = _view_redex(t)
+    if found is not None:
+        rule, slots = found
+        return contractum(rule, t, tuple(complete_development(s) for s in slots))
+    view = _maximal_decomposition(t)
+    if view is not None:
+        throw = view.hole_subject
+        return Throw(throw.cont, complete_development(throw.payload))
     match t:
-        case App(Lam(param, _, body), arg) if is_value(arg):
-            return subst(complete_development(body), param,
-                         complete_development(arg))
-        case App(App(App(LrecC(), base), step), Nil()) \
-                if is_value(base) and is_value(step):
-            return complete_development(base)
-        case App(App(App(LrecC(), base), step), App(App(ConsC(), head), tail)) \
-                if is_value(base) and is_value(step) and is_value(head) and is_value(tail):
-            b, s = complete_development(base), complete_development(step)
-            h, tl = complete_development(head), complete_development(tail)
-            return App(App(App(s, h), tl), App(App(App(LrecC(), b), s), tl))
-        case App() | Throw():
-            view = _maximal_decomposition(t)
-            if view is not None:
-                throw = view.hole_subject
-                assert isinstance(throw, Throw)
-                return Throw(throw.cont, complete_development(throw.payload))
-            match t:
-                case App(fun, arg):
-                    return App(complete_development(fun), complete_development(arg))
-            raise AssertionError("throw root always decomposes")
-        case Catch(cont, Throw(cont2, payload)) if cont2 == cont:
-            return Catch(cont, complete_development(payload))
-        case Catch(cont, Throw(cont2, payload)) \
-                if cont2 != cont and is_value(payload) and cont not in fcv(payload):
-            return Throw(cont2, complete_development(payload))
-        case Catch(cont, body) if is_value(body) and cont not in fcv(body):
-            return complete_development(body)
+        case App(fun, arg):
+            return App(complete_development(fun), complete_development(arg))
         case Catch(cont, body):
             return Catch(cont, complete_development(body))
         case Lam(param, annot, body):
@@ -179,68 +139,29 @@ def _dedup(terms: Iterator[Term]) -> list[Term]:
 
 def _preds(t: Term) -> list[Term]:
     def gen() -> Iterator[Term]:
+        # congruence
         match t:
             case App(fun, arg):
-                fun_reducts = _preds(fun)
-                arg_reducts = _preds(arg)
-                # congruence
-                for f in fun_reducts:
-                    for a in arg_reducts:
-                        yield App(f, a)
-                # beta on a value argument
-                match fun:
-                    case Lam(param, _, body) if is_value(arg):
-                        for b in _preds(body):
-                            for a in arg_reducts:
-                                yield subst(b, param, a)
-                # recursor contractions (all slots values)
-                match t:
-                    case App(App(App(LrecC(), base), step), Nil()) \
-                            if is_value(base) and is_value(step):
-                        yield from _preds(base)
-                    case App(App(App(LrecC(), base), step),
-                             App(App(ConsC(), head), tail)) \
-                            if is_value(base) and is_value(step) \
-                            and is_value(head) and is_value(tail):
-                        for b in _preds(base):
-                            for s in _preds(step):
-                                for h in _preds(head):
-                                    for tl in _preds(tail):
-                                        yield App(App(App(s, h), tl),
-                                                  App(App(App(LrecC(), b), s), tl))
-                # a throw jumps over any nonempty compound context
-                for view in throw_decompositions(t):
-                    throw = view.hole_subject
-                    assert isinstance(throw, Throw)
-                    for p in _preds(throw.payload):
-                        yield Throw(throw.cont, p)
-            case Throw(cont, payload):
-                # the empty-context instance of the jump rule is the
-                # congruence for throw; deeper decompositions jump
-                for view in throw_decompositions(t):
-                    throw = view.hole_subject
-                    assert isinstance(throw, Throw)
-                    for p in _preds(throw.payload):
-                        yield Throw(throw.cont, p)
+                for f, a in product(_preds(fun), _preds(arg)):
+                    yield App(f, a)
             case Catch(cont, body):
                 for b in _preds(body):
                     yield Catch(cont, b)
-                match body:
-                    case Throw(cont2, payload) if cont2 == cont:
-                        for p in _preds(payload):
-                            yield Catch(cont, p)
-                    case Throw(cont2, payload) \
-                            if cont2 != cont and is_value(payload) \
-                            and cont not in fcv(payload):
-                        for p in _preds(payload):
-                            yield Throw(cont2, p)
-                if is_value(body) and cont not in fcv(body):
-                    yield from _preds(body)
             case Lam(param, annot, body):
                 for b in _preds(body):
                     yield Lam(param, annot, b)
-            case _:
-                yield t
+        # a root contraction on parallel reducts of its slots
+        found = _view_redex(t)
+        if found is not None:
+            rule, slots = found
+            for combo in product(*map(_preds, slots)):
+                yield contractum(rule, t, combo)
+        # a throw jumps over any compound context; the empty context is
+        # the congruence for throw
+        for view in throw_decompositions(t):
+            throw = view.hole_subject
+            for p in _preds(throw.payload):
+                yield Throw(throw.cont, p)
 
     match t:
         case App() | Throw() | Catch() | Lam():

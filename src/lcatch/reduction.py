@@ -1,6 +1,12 @@
 """The seven reduction rules, redex enumeration, and the CBV evaluator.
 
-`contract` performs root contractions only; `enumerate_redexes` closes
+The rules are stated once, as a redex view: `redex` dispatches on the
+root constructor, matches the one rule that root can match and returns
+it with its slots, the subterms the contractum is built from, and
+`contractum` builds the right-hand side from those slots.  `contract`
+performs root contractions only, as `redex` followed by `contractum`;
+complete development and parallel reduction in `confluence` feed the
+same builder developed or reduced slots.  `enumerate_redexes` closes
 over every subterm position (the compatible closure, including under
 lambda and catch).  The deterministic CBV strategy runs on a refocused
 machine (Danvy & Nielsen, "Refocusing in reduction semantics", 2004) that
@@ -14,12 +20,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .surface import print_term
 from .syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, children, fcv, is_value,
-    replace_at, replace_child, subst,
+    lrec, replace_at, replace_child, subst,
 )
 
 
@@ -42,45 +48,80 @@ class ReductionEvent:
     result: Term
 
 
-def matching_rules(t: Term) -> list[tuple[Rule, Term]]:
-    """All root contractions of `t` with their contracta.
+def redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
+    """The rule whose left-hand side `t` matches at its root, with the
+    slots its contractum is built from, or None if the root is no redex.
 
-    The rules are mutually exclusive on well-formed terms; returning the
-    full list lets tests assert that disjointness.
+    This is the only place the rules' patterns and side conditions are
+    written.  It dispatches on the root constructor, and at most one rule
+    can match a given root: App is beta_v, lrec_nil, lrec_cons or throw;
+    Catch is catch_1, catch_2 or catch_3; Throw is throw only.  The slots
+    are the subterms the contractum keeps: (body, argument) for beta_v,
+    (base,) for lrec_nil, (base, step, head, tail) for lrec_cons, the
+    payload for catch_1 and catch_2, the body for catch_3 and the inner
+    throw for throw.
     """
-    out: list[tuple[Rule, Term]] = []
-    match t:
-        case Catch(a, Throw(b, q)) if b == a:
-            out.append((Rule.CATCH_1, Catch(a, q)))
-        case Catch(a, Throw(b, v)) if b != a and is_value(v) and a not in fcv(v):
-            out.append((Rule.CATCH_2, Throw(b, v)))
-    match t:
-        case Catch(a, body) if is_value(body) and a not in fcv(body):
-            out.append((Rule.CATCH_3, body))
-    match t:
-        case App(Lam(param, _, body), arg) if is_value(arg):
-            out.append((Rule.BETA_V, subst(body, param, arg)))
-    match t:
-        case App(App(App(LrecC(), base), step), Nil()) if is_value(base) and is_value(step):
-            out.append((Rule.LREC_NIL, base))
-        case App(App(App(LrecC(), base), step), App(App(ConsC(), head), tail)) \
-                if is_value(base) and is_value(step) and is_value(head) and is_value(tail):
-            rec = App(App(App(LrecC(), base), step), tail)
-            out.append((Rule.LREC_CONS, App(App(App(step, head), tail), rec)))
-    match t:
-        case App(Throw(a, q), _):
-            out.append((Rule.THROW, Throw(a, q)))
-        case App(v, Throw(a, q)) if is_value(v):
-            out.append((Rule.THROW, Throw(a, q)))
-        case Throw(_, Throw(a, q)):
-            out.append((Rule.THROW, Throw(a, q)))
-    return out
+    cls = type(t)
+    if cls is App:
+        fun, arg = t.fun, t.arg
+        if type(fun) is Throw:
+            return Rule.THROW, (fun,)
+        if not is_value(fun):
+            return None
+        if type(arg) is Throw:
+            return Rule.THROW, (arg,)
+        if not is_value(arg):
+            return None
+        if type(fun) is Lam:
+            return Rule.BETA_V, (fun.body, arg)
+        # base, step, head and tail are values because fun and arg are
+        match fun, arg:
+            case App(App(LrecC(), base), _), Nil():
+                return Rule.LREC_NIL, (base,)
+            case App(App(LrecC(), base), step), App(App(ConsC(), head), tail):
+                return Rule.LREC_CONS, (base, step, head, tail)
+        return None
+    if cls is Catch:
+        cont, body = t.cont, t.body
+        if type(body) is Throw:
+            payload = body.payload
+            if body.cont == cont:
+                return Rule.CATCH_1, (payload,)
+            if is_value(payload) and cont not in fcv(payload):
+                return Rule.CATCH_2, (payload,)
+            return None
+        if is_value(body) and cont not in fcv(body):
+            return Rule.CATCH_3, (body,)
+        return None
+    if cls is Throw and type(t.payload) is Throw:
+        return Rule.THROW, (t.payload,)
+    return None
+
+
+def contractum(rule: Rule, t: Term, slots: tuple[Term, ...]) -> Term:
+    """The right-hand side of `rule` at the redex `t`, built from `slots`
+    in place of the ones `redex(t)` returned and from `t`'s binder names."""
+    if rule is Rule.BETA_V:
+        body, arg = slots
+        return subst(body, t.fun.param, arg)
+    if rule is Rule.LREC_CONS:
+        base, step, head, tail = slots
+        return App(App(App(step, head), tail), lrec(base, step, tail))
+    if rule is Rule.CATCH_1:
+        return Catch(t.cont, slots[0])
+    if rule is Rule.CATCH_2:
+        return Throw(t.body.cont, slots[0])
+    (result,) = slots  # lrec_nil, catch_3 and throw keep their one slot
+    return result
 
 
 def contract(t: Term) -> Optional[tuple[Rule, Term]]:
     """The unique root contraction of `t`, if its root is a redex."""
-    matches = matching_rules(t)
-    return matches[0] if matches else None
+    found = redex(t)
+    if found is None:
+        return None
+    rule, slots = found
+    return rule, contractum(rule, t, slots)
 
 
 def enumerate_redexes(t: Term) -> list[ReductionEvent]:
@@ -104,7 +145,8 @@ def enumerate_redexes(t: Term) -> list[ReductionEvent]:
 
 # One evaluation frame: the child index the hole sits at and the parent node
 # around it.  Plugging a term into a frame rebuilds only the parent and
-# shares its other child.  A context is a list of frames, outermost first.
+# shares its other child.  A context is a sequence of frames, outermost
+# first; `confluence` builds its compound contexts from the same frames.
 Frame = tuple[int, Term]
 
 
@@ -139,7 +181,7 @@ def _decompose(t: Term, frames: list[Frame]) -> tuple[Term, Optional[tuple[Rule,
                 return t, None
 
 
-def _plug(frames: list[Frame], t: Term) -> Term:
+def _plug(frames: Sequence[Frame], t: Term) -> Term:
     """The whole term: `t` plugged into the context `frames`."""
     for index, parent in reversed(frames):
         t = replace_child(parent, index, t)

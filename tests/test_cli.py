@@ -117,6 +117,25 @@ def test_check_main_expression(tmp_path):
     assert out.splitlines() == ["id : 1 -> 1", "main : 1"]
 
 
+# ------------- resource exhaustion -------------
+
+
+def test_eval_too_deep_exits_with_resource_code():
+    code, _, err = run_cli("eval", "-e", "pred #1000")
+    assert code == 6
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_check_too_deep_exits_with_resource_code(tmp_path):
+    target = tmp_path / "deep.lc"
+    target.write_text("def deep = " + "\\v: 1. " * 2000 + "();\n")
+    code, _, err = run_cli("check", str(target))
+    assert code == 6
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 # ------------- redexes -------------
 
 

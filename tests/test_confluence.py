@@ -3,14 +3,15 @@ import random
 import pytest
 
 from lcatch.confluence import (
-    BudgetExceeded, ParallelStep, complete_development, is_parallel_step,
+    DEFAULT_NODE_BUDGET, BudgetExceeded, ParallelStep, complete_development, is_parallel_step,
     join, parallel_reducts, reachable_by_reduction, throw_decompositions,
 )
-from lcatch.metatheory import _gen_untyped
+from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
 from lcatch.reduction import enumerate_redexes
 from lcatch.surface import parse_term, print_term
 from lcatch.syntax import (
-    Throw, UNIT, Var, alpha_eq, canonical, free_vars, is_value, size,
+    App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, Var, alpha_eq, canonical,
+    fcv, free_vars, is_value, size, subst,
 )
 
 p = parse_term
@@ -225,3 +226,145 @@ def test_join_catch_pair():
 
 def test_join_exhaustion_returns_none():
     assert join(Var("x"), Var("y"), max_rounds=3) is None
+
+
+# ------------- development and parallel reducts against rule-by-rule oracles -------------
+
+
+def oracle_throws(t):
+    """The throws on the compound-context spine of `t`, outermost first."""
+    out = []
+    while True:
+        match t:
+            case App(fun, arg):
+                t = arg if is_value(fun) else fun
+            case Throw(_, payload):
+                out.append(t)
+                t = payload
+            case _:
+                return out
+
+
+def oracle_development(t):
+    """Complete development with each rule's pattern matched on its own."""
+    match t:
+        case App(Lam(param, _, body), arg) if is_value(arg):
+            return subst(oracle_development(body), param, oracle_development(arg))
+        case App(App(App(LrecC(), base), step), Nil()) \
+                if is_value(base) and is_value(step):
+            return oracle_development(base)
+        case App(App(App(LrecC(), base), step), App(App(ConsC(), head), tail)) \
+                if is_value(base) and is_value(step) and is_value(head) and is_value(tail):
+            b, s = oracle_development(base), oracle_development(step)
+            h, tl = oracle_development(head), oracle_development(tail)
+            return App(App(App(s, h), tl), App(App(App(LrecC(), b), s), tl))
+        case App() | Throw():
+            throws = oracle_throws(t)
+            if throws:
+                throw = throws[-1]
+                return Throw(throw.cont, oracle_development(throw.payload))
+            match t:
+                case App(fun, arg):
+                    return App(oracle_development(fun), oracle_development(arg))
+            raise AssertionError("throw root always decomposes")
+        case Catch(cont, Throw(cont2, payload)) if cont2 == cont:
+            return Catch(cont, oracle_development(payload))
+        case Catch(cont, Throw(cont2, payload)) \
+                if cont2 != cont and is_value(payload) and cont not in fcv(payload):
+            return Throw(cont2, oracle_development(payload))
+        case Catch(cont, body) if is_value(body) and cont not in fcv(body):
+            return oracle_development(body)
+        case Catch(cont, body):
+            return Catch(cont, oracle_development(body))
+        case Lam(param, annot, body):
+            return Lam(param, annot, oracle_development(body))
+    return t
+
+
+def oracle_dedup(terms):
+    seen = {}
+    for u in terms:
+        seen.setdefault(canonical(u), u)
+    return list(seen.values())
+
+
+def oracle_preds(t):
+    """Parallel reducts with each rule's pattern matched on its own."""
+    def gen():
+        match t:
+            case App(fun, arg):
+                fun_reducts = oracle_preds(fun)
+                arg_reducts = oracle_preds(arg)
+                for f in fun_reducts:
+                    for a in arg_reducts:
+                        yield App(f, a)
+                match fun:
+                    case Lam(param, _, body) if is_value(arg):
+                        for b in oracle_preds(body):
+                            for a in arg_reducts:
+                                yield subst(b, param, a)
+                match t:
+                    case App(App(App(LrecC(), base), step), Nil()) \
+                            if is_value(base) and is_value(step):
+                        yield from oracle_preds(base)
+                    case App(App(App(LrecC(), base), step),
+                             App(App(ConsC(), head), tail)) \
+                            if is_value(base) and is_value(step) \
+                            and is_value(head) and is_value(tail):
+                        for b in oracle_preds(base):
+                            for s in oracle_preds(step):
+                                for h in oracle_preds(head):
+                                    for tl in oracle_preds(tail):
+                                        yield App(App(App(s, h), tl),
+                                                  App(App(App(LrecC(), b), s), tl))
+                for throw in oracle_throws(t):
+                    for p in oracle_preds(throw.payload):
+                        yield Throw(throw.cont, p)
+            case Throw():
+                for throw in oracle_throws(t):
+                    for p in oracle_preds(throw.payload):
+                        yield Throw(throw.cont, p)
+            case Catch(cont, body):
+                for b in oracle_preds(body):
+                    yield Catch(cont, b)
+                match body:
+                    case Throw(cont2, payload) if cont2 == cont:
+                        for p in oracle_preds(payload):
+                            yield Catch(cont, p)
+                    case Throw(cont2, payload) \
+                            if cont2 != cont and is_value(payload) \
+                            and cont not in fcv(payload):
+                        for p in oracle_preds(payload):
+                            yield Throw(cont2, p)
+                if is_value(body) and cont not in fcv(body):
+                    yield from oracle_preds(body)
+            case Lam(param, annot, body):
+                for b in oracle_preds(body):
+                    yield Lam(param, annot, b)
+
+    match t:
+        case App() | Throw() | Catch() | Lam():
+            return oracle_dedup(gen())
+    return [t]
+
+
+def _assert_matches_oracles(t):
+    assert complete_development(t) == oracle_development(t)
+    assert parallel_reducts(t, max(size(t), DEFAULT_NODE_BUDGET)) == oracle_preds(t)
+
+
+@pytest.mark.parametrize("max_size", [8, 12, 14])
+def test_development_and_reducts_match_oracles(max_size):
+    for seed in range(150):
+        _assert_matches_oracles(gen_term(GenConfig(seed=seed, max_size=max_size, typed=False)))
+
+
+@pytest.mark.parametrize("src", [
+    "catch a. throw b \\x. throw a x", "catch a. throw b ((\\x. x) ())",
+    "catch a. throw a (throw b ())", "catch a. cons (\\y. throw a y) []",
+    "lrec r ((\\x. x) ()) []", "lrec r s (cons (throw a ()) [])", "lrec r s (cons () t)",
+    "(\\x. x) (throw a ())", "(x y) (throw a ())", "throw a ((throw b ()) x)",
+])
+def test_development_and_reducts_match_oracles_on_side_conditions(src):
+    # a continuation free in the catch_2 payload, non-value slots, stuck lrec
+    _assert_matches_oracles(p(src))

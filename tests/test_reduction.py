@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,12 +8,12 @@ from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
 from lcatch.prelude import encode_nat, prelude_defs
 from lcatch.reduction import (
     Outcome, OutcomeKind, ReductionEvent, Rule, _classify, contract,
-    enumerate_redexes, evaluate, matching_rules, render_trace, step_cbv,
+    enumerate_redexes, evaluate, render_trace, step_cbv,
 )
 from lcatch.surface import expand_term, parse_term
 from lcatch.syntax import (
-    App, Catch, Nil, Throw, UNIT, alpha_eq, canonical, is_value, replace_at,
-    subterm_at,
+    App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, alpha_eq, canonical, fcv,
+    is_value, replace_at, subst, subterm_at,
 )
 
 p = parse_term
@@ -88,12 +89,77 @@ def _all_subterms(t):
         yield from _all_subterms(child)
 
 
+# ------------- the redex view against the rule-by-rule oracle -------------
+
+
+def matching_rules(t):
+    """All root contractions of `t` with their contracta, each rule's
+    pattern matched on its own; the oracle for `contract`."""
+    out = []
+    match t:
+        case Catch(a, Throw(b, q)) if b == a:
+            out.append((Rule.CATCH_1, Catch(a, q)))
+        case Catch(a, Throw(b, v)) if b != a and is_value(v) and a not in fcv(v):
+            out.append((Rule.CATCH_2, Throw(b, v)))
+    match t:
+        case Catch(a, body) if is_value(body) and a not in fcv(body):
+            out.append((Rule.CATCH_3, body))
+    match t:
+        case App(Lam(param, _, body), arg) if is_value(arg):
+            out.append((Rule.BETA_V, subst(body, param, arg)))
+    match t:
+        case App(App(App(LrecC(), base), step), Nil()) if is_value(base) and is_value(step):
+            out.append((Rule.LREC_NIL, base))
+        case App(App(App(LrecC(), base), step), App(App(ConsC(), head), tail)) \
+                if is_value(base) and is_value(step) and is_value(head) and is_value(tail):
+            rec = App(App(App(LrecC(), base), step), tail)
+            out.append((Rule.LREC_CONS, App(App(App(step, head), tail), rec)))
+    match t:
+        case App(Throw(a, q), _):
+            out.append((Rule.THROW, Throw(a, q)))
+        case App(v, Throw(a, q)) if is_value(v):
+            out.append((Rule.THROW, Throw(a, q)))
+        case Throw(_, Throw(a, q)):
+            out.append((Rule.THROW, Throw(a, q)))
+    return out
+
+
 def test_root_rules_are_mutually_exclusive():
     rng = random.Random(21)
     for _ in range(2000):
         t = _gen_untyped(rng, 12, 0)
         for sub in _all_subterms(t):
             assert len(matching_rules(sub)) <= 1
+
+
+@pytest.mark.parametrize("typed", [True, False])
+@pytest.mark.parametrize("max_size", [8, 14, 20])
+def test_contract_matches_oracle_on_every_subterm(typed, max_size):
+    for seed in range(150):
+        t = gen_term(GenConfig(seed=seed, max_size=max_size, typed=typed))
+        for sub in _all_subterms(t):
+            want = matching_rules(sub)
+            assert contract(sub) == (want[0] if want else None)
+
+
+# side conditions that generated terms rarely reach: a continuation free in
+# the catch_2 payload or the catch_3 body, non-value slots, stuck lrec
+SIDE_CONDITION_TERMS = [
+    "catch a. throw b \\x. throw a x", "catch a. throw b (cons (\\x. throw a x) [])",
+    "catch a. throw b ((\\x. x) ())", "catch a. throw a (throw b ())",
+    "catch a. \\x. throw a x", "catch a. cons (\\y. throw a y) []", "catch a. lrec ()",
+    "lrec r ((\\x. x) ()) []", "lrec r s (cons (throw a ()) [])", "lrec r s (cons () t)",
+    "lrec r s ()", "lrec (throw a ()) s []", "(\\x. x) (throw a ())", "x (throw a ())",
+    "(x y) (throw a ())", "throw a throw b ()", "cons (throw a ()) []",
+]
+
+
+def test_contract_matches_oracle_on_fixed_terms():
+    terms = [t for _, t in prelude_defs()] + [p(src) for src in SIDE_CONDITION_TERMS]
+    for t in terms:
+        for sub in _all_subterms(t):
+            want = matching_rules(sub)
+            assert contract(sub) == (want[0] if want else None)
 
 
 # ------------- enumerate_redexes -------------
@@ -260,6 +326,22 @@ def test_steps_count_rule_applications_exactly():
     # two betas, no charge for frame navigation
     out = evaluate(p("(\\x. x) ((\\y. y) ())"))
     assert out.steps == 2
+
+
+@pytest.mark.parametrize("src, counts", [
+    ("times #5 #5", {"beta_v": 114, "lrec_cons": 30, "lrec_nil": 6}),
+    ("pred #3", {"beta_v": 5, "catch_1": 1, "catch_3": 1, "lrec_cons": 1, "throw": 1}),
+    ("prodz [#2, #0, #9]",
+     {"beta_v": 17, "catch_1": 1, "catch_3": 1, "lrec_cons": 4, "lrec_nil": 2, "throw": 2}),
+    ("catch a. (\\x. x) (catch b. throw a (catch c. throw b #1))",
+     {"beta_v": 1, "catch_1": 1, "catch_2": 1, "catch_3": 2, "throw": 1}),
+])
+def test_steps_per_rule(src, counts):
+    # the paper's observable, rule by rule
+    out = run(src, keep_trace=True)
+    assert out.kind is OutcomeKind.VALUE
+    assert Counter(e.rule.value for e in out.trace) == counts
+    assert out.steps == sum(counts.values())
 
 
 # ------------- the machine against the root-redescent oracle -------------
