@@ -127,17 +127,19 @@ def contract(t: Term) -> Optional[tuple[Rule, Term]]:
 def enumerate_redexes(t: Term) -> list[ReductionEvent]:
     """One event per contractible position, in leftmost-innermost order."""
     events: list[ReductionEvent] = []
-
-    def walk(u: Term, path: tuple[int, ...]) -> None:
-        for i, child in enumerate(children(u)):
-            walk(child, path + (i,))
-        c = contract(u)
-        if c is not None:
-            rule, contractum = c
-            events.append(ReductionEvent(rule, path, replace_at(t, path, contractum)))
-
-    walk(t, ())
+    _walk_redexes(t, t, (), events)
     return events
+
+
+def _walk_redexes(t: Term, u: Term, path: tuple[int, ...],
+                  events: list[ReductionEvent]) -> None:
+    """Append the events of the subterm `u` of `t` at `path`."""
+    for i, child in enumerate(children(u)):
+        _walk_redexes(t, child, path + (i,), events)
+    c = contract(u)
+    if c is not None:
+        rule, result = c
+        events.append(ReductionEvent(rule, path, replace_at(t, path, result)))
 
 
 # ---------------------------------------------------------------------------

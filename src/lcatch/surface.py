@@ -358,40 +358,40 @@ def _as_list(t: Term) -> Optional[list[Term]]:
 
 def print_term(t: Term, sugar: bool = False) -> str:
     """Render with minimal parentheses; `sugar` prints unit-lists as `#n`."""
+    return _fmt(t, _TOP, sugar)
 
-    def fmt(u: Term, ctx: int) -> str:
-        items = _as_list(u)
-        if items is not None:
-            if sugar and all(isinstance(it, UnitVal) for it in items):
-                return f"#{len(items)}"
-            if not items:
-                return "[]"
-            return "[" + ", ".join(fmt(it, _TOP) for it in items) + "]"
-        match u:
-            case Var(name):
-                return name
-            case UnitVal():
-                return "()"
-            case Nil():
-                return "[]"
-            case ConsC():
-                return "cons"
-            case LrecC():
-                return "lrec"
-            case Lam(param, annot, body):
-                ann = f": {print_type(annot)}" if annot is not None else ""
-                s = f"\\{param}{ann}. {fmt(body, _TOP)}"
-                return s if ctx == _TOP else f"({s})"
-            case Catch(cont, body):
-                s = f"catch {cont}. {fmt(body, _TOP)}"
-                return s if ctx == _TOP else f"({s})"
-            case Throw(cont, payload):
-                # the payload is a full term position: throw binds maximally
-                s = f"throw {cont} {fmt(payload, _TOP)}"
-                return s if ctx == _TOP else f"({s})"
-            case App(fun, arg):
-                s = f"{fmt(fun, _FUN)} {fmt(arg, _ARG)}"
-                return s if ctx != _ARG else f"({s})"
-        raise ValueError(f"not a term: {u!r}")
 
-    return fmt(t, _TOP)
+def _fmt(u: Term, ctx: int, sugar: bool) -> str:
+    items = _as_list(u)
+    if items is not None:
+        if sugar and all(isinstance(it, UnitVal) for it in items):
+            return f"#{len(items)}"
+        if not items:
+            return "[]"
+        return "[" + ", ".join(_fmt(it, _TOP, sugar) for it in items) + "]"
+    match u:
+        case Var(name):
+            return name
+        case UnitVal():
+            return "()"
+        case Nil():
+            return "[]"
+        case ConsC():
+            return "cons"
+        case LrecC():
+            return "lrec"
+        case Lam(param, annot, body):
+            ann = f": {print_type(annot)}" if annot is not None else ""
+            s = f"\\{param}{ann}. {_fmt(body, _TOP, sugar)}"
+            return s if ctx == _TOP else f"({s})"
+        case Catch(cont, body):
+            s = f"catch {cont}. {_fmt(body, _TOP, sugar)}"
+            return s if ctx == _TOP else f"({s})"
+        case Throw(cont, payload):
+            # the payload is a full term position: throw binds maximally
+            s = f"throw {cont} {_fmt(payload, _TOP, sugar)}"
+            return s if ctx == _TOP else f"({s})"
+        case App(fun, arg):
+            s = f"{_fmt(fun, _FUN, sugar)} {_fmt(arg, _ARG, sugar)}"
+            return s if ctx != _ARG else f"({s})"
+    raise ValueError(f"not a term: {u!r}")

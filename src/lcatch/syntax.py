@@ -180,8 +180,18 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 # ---------------------------------------------------------------------------
 # Values
 
-# is_value and free_vars memoize per node (terms are immutable and share
-# subtrees heavily, so evaluation revisits the same nodes many times).
+# Per-node memos.  Terms are immutable and share subtrees heavily, so
+# evaluation and the confluence checks revisit the same nodes many times.
+# Each memo is computed once per node and stored in its __dict__:
+#   _is_value   is_value
+#   _free_vars  free_vars
+#   _nesting    _nesting: the most lambdas and catches nested on one path
+#   _canonical  canonical: the canonical form, or _OWN_FORM
+# No memo may refer to the node that holds it, directly or through the
+# terms it holds, so a node that is its own canonical form is marked with
+# _OWN_FORM instead of pointing at itself.  A dropped term and everything
+# its memos hold are then freed by reference counting, without waiting
+# for the cyclic collector.
 
 
 def is_value(t: Term) -> bool:
@@ -305,37 +315,36 @@ def subst(t: Term, x: str, r: Term) -> Term:
     Both lambda and catch binders are freshened when they would capture a
     free (term or continuation) variable of `r`.
     """
-    r_free = free_vars(r)
+    return _subst(t, x, r, free_vars(r))
 
-    def go(u: Term) -> Term:
-        if x not in free_vars(u).term_vars:
-            return u
-        match u:
-            case Var(name):
-                return r if name == x else u
-            case Lam(param, annot, body):
-                if param == x:
-                    return u
-                if param in r_free.term_vars:
-                    avoid = r_free.term_vars | free_vars(body).term_vars | {x}
-                    param2 = fresh_name(param, avoid)
-                    body = rename_term_var(body, param, param2)
-                    param = param2
-                return Lam(param, annot, go(body))
-            case App(fun, arg):
-                return App(go(fun), go(arg))
-            case Catch(cont, body):
-                if cont in r_free.cont_vars:
-                    avoid = r_free.cont_vars | free_vars(body).cont_vars
-                    cont2 = fresh_name(cont, avoid)
-                    body = rename_cont_var(body, cont, cont2)
-                    cont = cont2
-                return Catch(cont, go(body))
-            case Throw(cont, payload):
-                return Throw(cont, go(payload))
-        raise ValueError(f"not a term: {u!r}")
 
-    return go(t)
+def _subst(u: Term, x: str, r: Term, r_free: VarSets) -> Term:
+    if x not in free_vars(u).term_vars:
+        return u
+    match u:
+        case Var(name):
+            return r if name == x else u
+        case Lam(param, annot, body):
+            if param == x:
+                return u
+            if param in r_free.term_vars:
+                avoid = r_free.term_vars | free_vars(body).term_vars | {x}
+                param2 = fresh_name(param, avoid)
+                body = rename_term_var(body, param, param2)
+                param = param2
+            return Lam(param, annot, _subst(body, x, r, r_free))
+        case App(fun, arg):
+            return App(_subst(fun, x, r, r_free), _subst(arg, x, r, r_free))
+        case Catch(cont, body):
+            if cont in r_free.cont_vars:
+                avoid = r_free.cont_vars | free_vars(body).cont_vars
+                cont2 = fresh_name(cont, avoid)
+                body = rename_cont_var(body, cont, cont2)
+                cont = cont2
+            return Catch(cont, _subst(body, x, r, r_free))
+        case Throw(cont, payload):
+            return Throw(cont, _subst(payload, x, r, r_free))
+    raise ValueError(f"not a term: {u!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -348,74 +357,125 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
     Binder annotations must either both be absent or both be present and
     structurally equal.
     """
+    return t1 is t2 or _alpha_eq(t1, t2, {}, {}, {}, {}, 0)
 
-    def go(a, b, env1, env2, cenv1, cenv2, depth):
-        match a, b:
-            case Var(n1), Var(n2):
-                d1, d2 = env1.get(n1), env2.get(n2)
-                if d1 is None and d2 is None:
-                    return n1 == n2
-                return d1 == d2
-            case UnitVal(), UnitVal():
-                return True
-            case Nil(), Nil():
-                return True
-            case ConsC(), ConsC():
-                return True
-            case LrecC(), LrecC():
-                return True
-            case Lam(p1, a1, b1), Lam(p2, a2, b2):
-                if (a1 is None) != (a2 is None):
-                    return False
-                if a1 is not None and a1 != a2:
-                    return False
-                return go(b1, b2, {**env1, p1: depth}, {**env2, p2: depth},
-                          cenv1, cenv2, depth + 1)
-            case App(f1, x1), App(f2, x2):
-                return (go(f1, f2, env1, env2, cenv1, cenv2, depth)
-                        and go(x1, x2, env1, env2, cenv1, cenv2, depth))
-            case Catch(c1, b1), Catch(c2, b2):
-                return go(b1, b2, env1, env2,
-                          {**cenv1, c1: depth}, {**cenv2, c2: depth}, depth + 1)
-            case Throw(c1, p1), Throw(c2, p2):
-                d1, d2 = cenv1.get(c1), cenv2.get(c2)
-                if d1 is None and d2 is None:
-                    if c1 != c2:
-                        return False
-                elif d1 != d2:
-                    return False
-                return go(p1, p2, env1, env2, cenv1, cenv2, depth)
-        return False
 
-    return t1 is t2 or go(t1, t2, {}, {}, {}, {}, 0)
+def _alpha_eq(a, b, env1, env2, cenv1, cenv2, depth) -> bool:
+    match a, b:
+        case Var(n1), Var(n2):
+            d1, d2 = env1.get(n1), env2.get(n2)
+            if d1 is None and d2 is None:
+                return n1 == n2
+            return d1 == d2
+        case UnitVal(), UnitVal():
+            return True
+        case Nil(), Nil():
+            return True
+        case ConsC(), ConsC():
+            return True
+        case LrecC(), LrecC():
+            return True
+        case Lam(p1, a1, b1), Lam(p2, a2, b2):
+            if (a1 is None) != (a2 is None):
+                return False
+            if a1 is not None and a1 != a2:
+                return False
+            return _alpha_eq(b1, b2, {**env1, p1: depth}, {**env2, p2: depth},
+                             cenv1, cenv2, depth + 1)
+        case App(f1, x1), App(f2, x2):
+            return (_alpha_eq(f1, f2, env1, env2, cenv1, cenv2, depth)
+                    and _alpha_eq(x1, x2, env1, env2, cenv1, cenv2, depth))
+        case Catch(c1, b1), Catch(c2, b2):
+            return _alpha_eq(b1, b2, env1, env2,
+                             {**cenv1, c1: depth}, {**cenv2, c2: depth}, depth + 1)
+        case Throw(c1, p1), Throw(c2, p2):
+            d1, d2 = cenv1.get(c1), cenv2.get(c2)
+            if d1 is None and d2 is None:
+                if c1 != c2:
+                    return False
+            elif d1 != d2:
+                return False
+            return _alpha_eq(p1, p2, env1, env2, cenv1, cenv2, depth)
+    return False
+
+
+def _nesting(t: Term) -> tuple[int, int]:
+    """The most lambdas, and the most catches, nested on one path of `t`."""
+    cached = t.__dict__.get("_nesting")
+    if cached is not None:
+        return cached
+    cls = type(t)
+    if cls is App:
+        (fun_lams, fun_catches), (arg_lams, arg_catches) = _nesting(t.fun), _nesting(t.arg)
+        out = (max(fun_lams, arg_lams), max(fun_catches, arg_catches))
+    elif cls is Lam:
+        lams, catches = _nesting(t.body)
+        out = (lams + 1, catches)
+    elif cls is Catch:
+        lams, catches = _nesting(t.body)
+        out = (lams, catches + 1)
+    elif cls is Throw:
+        out = _nesting(t.payload)
+    else:
+        return (0, 0)
+    object.__setattr__(t, "_nesting", out)
+    return out
+
+
+# Stored as the _canonical memo of a node that is its own canonical form.
+_OWN_FORM = True
+
+
+def _escape(name: str) -> str:
+    """A free name in a form: one more `!` if it starts with `!`, so that
+    no free name looks like a form's binder name."""
+    return "!" + name if name[:1] == "!" else name
 
 
 def canonical(t: Term) -> Term:
-    """Rename binders to a fixed scheme so alpha-equal terms become equal.
+    """Rename binders to a fixed scheme so alpha-equal terms become equal,
+    and alpha-inequal terms stay apart.
 
-    Used as a dictionary key for deduplication; not part of the public
-    term representation.
+    A lambda is named `!x<h>` and a catch `!k<h>`, where h is the most
+    binders of that kind nested on one path of its term, itself included.
+    A free name that starts with `!` gets one more, so no free name is
+    ever taken for a binder's.  A binder's name depends on its subtree
+    only, and binders on one path never share one, so forms compose: an
+    App's or a Throw's form is built from its children's forms, and a
+    binder's form is its body's form with one capture-free rename.  Forms
+    are memoized per node.  Used as a dictionary key for deduplication;
+    not part of the public term representation.
     """
-    counter = [0]
-
-    def go(u, env, cenv):
-        match u:
-            case Var(name):
-                return Var(env.get(name, name))
-            case UnitVal() | Nil() | ConsC() | LrecC():
-                return u
-            case Lam(param, annot, body):
-                counter[0] += 1
-                new = f"!x{counter[0]}"
-                return Lam(new, annot, go(body, {**env, param: new}, cenv))
-            case App(fun, arg):
-                return App(go(fun, env, cenv), go(arg, env, cenv))
-            case Catch(cont, body):
-                counter[0] += 1
-                new = f"!k{counter[0]}"
-                return Catch(new, go(body, env, {**cenv, cont: new}))
-            case Throw(cont, payload):
-                return Throw(cenv.get(cont, cont), go(payload, env, cenv))
-        raise ValueError(f"not a term: {u!r}")
-
-    return go(t, {}, {})
+    form = t.__dict__.get("_canonical")
+    if form is not None:
+        return t if form is _OWN_FORM else form
+    cls = type(t)
+    if cls is App:
+        fun, arg = canonical(t.fun), canonical(t.arg)
+        form = t if fun is t.fun and arg is t.arg else App(fun, arg)
+    elif cls is Throw:
+        cont, payload = _escape(t.cont), canonical(t.payload)
+        form = t if cont == t.cont and payload is t.payload else Throw(cont, payload)
+    elif cls is Lam:
+        name = f"!x{_nesting(t)[0]}"
+        body = canonical(t.body)
+        if t.param in free_vars(t.body).term_vars:
+            body = rename_term_var(body, _escape(t.param), name)
+        form = (t if name == t.param and body is t.body
+                else Lam(name, t.annot, body))
+    elif cls is Catch:
+        name = f"!k{_nesting(t)[1]}"
+        body = canonical(t.body)
+        if t.cont in free_vars(t.body).cont_vars:
+            body = rename_cont_var(body, _escape(t.cont), name)
+        form = t if name == t.cont and body is t.body else Catch(name, body)
+    elif cls is Var:
+        if t.name[:1] != "!":
+            return t
+        form = Var(_escape(t.name))
+    elif cls in (UnitVal, Nil, ConsC, LrecC):
+        return t
+    else:
+        raise ValueError(f"not a term: {t!r}")
+    object.__setattr__(t, "_canonical", _OWN_FORM if form is t else form)
+    return form

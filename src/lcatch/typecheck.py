@@ -282,12 +282,14 @@ def infer_typed(env: TypingEnv, t: Term) -> TypedTerm:
     """Infer and return the fully solved typed tree for `t`."""
     types: dict[tuple[int, ...], Type] = {}
     _solve(env, t, types=types)
+    return _build_typed(t, (), types)
 
-    def build(node: Term, path: tuple[int, ...]) -> TypedTerm:
-        return TypedTerm(node, types[path], tuple(
-            build(child, path + (i,)) for i, child in enumerate(children(node))))
 
-    return build(t, ())
+def _build_typed(node: Term, path: tuple[int, ...],
+                 types: dict[tuple[int, ...], Type]) -> TypedTerm:
+    return TypedTerm(node, types[path], tuple(
+        _build_typed(child, path + (i,), types)
+        for i, child in enumerate(children(node))))
 
 
 def infer(env: TypingEnv, t: Term) -> Type:
@@ -329,49 +331,49 @@ def replay(env: TypingEnv, tt: TypedTerm) -> bool:
     No unification: every node type is known, so each rule is a local
     equality check.  Used as a soundness oracle for the solver.
     """
+    return _replay(tt, dict(env.gamma), dict(env.delta))
 
-    def go(node: TypedTerm, gamma: dict[str, Type], delta: dict[str, Type]) -> bool:
-        t, ty = node.term, node.type
-        match t:
-            case Var(name):
-                return gamma.get(name) == ty
-            case UnitVal():
-                return ty == UNIT_TYPE
-            case Nil():
-                return isinstance(ty, ListType)
-            case ConsC():
-                match ty:
-                    case ArrowType(e, ArrowType(ListType(e2), ListType(e3))):
-                        return e == e2 == e3
-                return False
-            case LrecC():
-                match ty:
-                    case ArrowType(r, ArrowType(ArrowType(e, ArrowType(ListType(e2), ArrowType(r2, r3))),
-                                                ArrowType(ListType(e3), r4))):
-                        return r == r2 == r3 == r4 and e == e2 == e3
-                return False
-            case Lam(param, annot, _):
-                match ty:
-                    case ArrowType(dom, cod):
-                        if annot is not None and annot != dom:
-                            return False
-                        body = node.children[0]
-                        return body.type == cod and go(body, {**gamma, param: dom}, delta)
-                return False
-            case App():
-                f, a = node.children
-                return (f.type == ArrowType(a.type, ty)
-                        and go(f, gamma, delta) and go(a, gamma, delta))
-            case Catch(cont, _):
-                if not is_arrow_free(ty):
-                    return False
-                body = node.children[0]
-                return body.type == ty and go(body, gamma, {**delta, cont: ty})
-            case Throw(cont, _):
-                if cont not in delta:
-                    return False
-                payload = node.children[0]
-                return payload.type == delta[cont] and go(payload, gamma, delta)
-        return False
 
-    return go(tt, dict(env.gamma), dict(env.delta))
+def _replay(node: TypedTerm, gamma: dict[str, Type], delta: dict[str, Type]) -> bool:
+    t, ty = node.term, node.type
+    match t:
+        case Var(name):
+            return gamma.get(name) == ty
+        case UnitVal():
+            return ty == UNIT_TYPE
+        case Nil():
+            return isinstance(ty, ListType)
+        case ConsC():
+            match ty:
+                case ArrowType(e, ArrowType(ListType(e2), ListType(e3))):
+                    return e == e2 == e3
+            return False
+        case LrecC():
+            match ty:
+                case ArrowType(r, ArrowType(ArrowType(e, ArrowType(ListType(e2), ArrowType(r2, r3))),
+                                            ArrowType(ListType(e3), r4))):
+                    return r == r2 == r3 == r4 and e == e2 == e3
+            return False
+        case Lam(param, annot, _):
+            match ty:
+                case ArrowType(dom, cod):
+                    if annot is not None and annot != dom:
+                        return False
+                    body = node.children[0]
+                    return body.type == cod and _replay(body, {**gamma, param: dom}, delta)
+            return False
+        case App():
+            f, a = node.children
+            return (f.type == ArrowType(a.type, ty)
+                    and _replay(f, gamma, delta) and _replay(a, gamma, delta))
+        case Catch(cont, _):
+            if not is_arrow_free(ty):
+                return False
+            body = node.children[0]
+            return body.type == ty and _replay(body, gamma, {**delta, cont: ty})
+        case Throw(cont, _):
+            if cont not in delta:
+                return False
+            payload = node.children[0]
+            return payload.type == delta[cont] and _replay(payload, gamma, delta)
+    return False

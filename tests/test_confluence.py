@@ -368,3 +368,23 @@ def test_development_and_reducts_match_oracles(max_size):
 def test_development_and_reducts_match_oracles_on_side_conditions(src):
     # a continuation free in the catch_2 payload, non-value slots, stuck lrec
     _assert_matches_oracles(p(src))
+
+
+def test_reducts_match_oracle_on_shared_subterm_objects():
+    rng = random.Random(42)
+    for _ in range(150):
+        s = _gen_untyped(rng, 6, 0)
+        for t in [App(s, s)] + [App(u, s) for u in parallel_reducts(s)[:3]]:
+            assert parallel_reducts(t, max(size(t), DEFAULT_NODE_BUDGET)) == oracle_preds(t)
+
+
+def test_reducts_are_stable_across_calls_and_caller_mutation():
+    for seed in range(150):
+        t = gen_term(GenConfig(seed=seed, max_size=12, typed=False))
+        expected = oracle_preds(t)
+        first = parallel_reducts(t)
+        assert first == expected
+        first.reverse()
+        first.append(UNIT)
+        assert parallel_reducts(t) == expected
+        assert parallel_reducts(t) is not parallel_reducts(t)

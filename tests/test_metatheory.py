@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from lcatch.metatheory import (
     reduction_graph_status, run_property,
 )
 from lcatch.reduction import OutcomeKind, Rule, enumerate_redexes, evaluate
-from lcatch.surface import parse_term
+from lcatch.surface import parse_term, print_term
 from lcatch.syntax import Catch, UNIT, UNIT_TYPE, alpha_eq, size
 from lcatch.typecheck import TypingEnv, infer
 
@@ -177,3 +178,21 @@ def test_minimize_catch_predicate():
 def test_minimize_requires_failing_input():
     with pytest.raises(ValueError):
         minimize(UNIT, lambda _u: False)
+
+
+def test_confluence_checks_leave_no_cyclic_garbage():
+    # terms carry per-node memos; a memo that formed a reference cycle, or a
+    # recursive closure over a term, would keep dropped terms alive until
+    # the cyclic collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        for prop in ("Diamond", "RedSubsetPred", "PredSubsetRedd", "TakahashiMpred"):
+            assert run_property(prop, 150, GenConfig(seed=9, max_size=12)).passed
+        outcome = evaluate(p("(\\x. \\y. catch a. throw a (x y)) (\\z. z) [(), ()]"),
+                           keep_trace=True)
+        assert print_term(outcome.term) == "[(), ()]"
+        leaked = gc.collect()
+    finally:
+        gc.enable()
+    assert leaked == 0

@@ -1,10 +1,13 @@
 import random
 
-from lcatch.metatheory import _gen_untyped
+from lcatch.confluence import complete_development
+from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
+from lcatch.reduction import enumerate_redexes
 from lcatch.surface import parse_term
 from lcatch.syntax import (
-    App, Catch, Nil, Throw, UNIT, Var, alpha_eq, canonical, cons, fcv,
-    free_vars, fv, is_value, lrec, size, subst,
+    App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, UnitVal, Var, alpha_eq,
+    canonical, cons, fcv, free_vars, fv, is_value, lrec, rename_cont_var,
+    rename_term_var, size, subst,
 )
 
 p = parse_term
@@ -165,6 +168,133 @@ def test_canonical_matches_alpha_eq():
     for t in terms:
         for u in terms:
             assert (canonical(t) == canonical(u)) == alpha_eq(t, u)
+
+
+def oracle_canonical(t):
+    """Binders renamed by a preorder counter, threading an environment down."""
+    counter = [0]
+
+    def go(u, env, cenv):
+        match u:
+            case Var(name):
+                return Var(env.get(name, name))
+            case UnitVal() | Nil() | ConsC() | LrecC():
+                return u
+            case Lam(param, annot, body):
+                counter[0] += 1
+                new = f"!x{counter[0]}"
+                return Lam(new, annot, go(body, {**env, param: new}, cenv))
+            case App(fun, arg):
+                return App(go(fun, env, cenv), go(arg, env, cenv))
+            case Catch(cont, body):
+                counter[0] += 1
+                new = f"!k{counter[0]}"
+                return Catch(new, go(body, env, {**cenv, cont: new}))
+            case Throw(cont, payload):
+                return Throw(cenv.get(cont, cont), go(payload, env, cenv))
+        raise ValueError(f"not a term: {u!r}")
+
+    return go(t, {}, {})
+
+
+_NAMES = ("x", "y", "z", "u", "a", "b", "c")
+
+
+def _alpha_variant(t, rng, names=_NAMES):
+    """`t` with every binder renamed to a random name it does not capture."""
+    match t:
+        case App(fun, arg):
+            return App(_alpha_variant(fun, rng, names), _alpha_variant(arg, rng, names))
+        case Throw(cont, payload):
+            return Throw(cont, _alpha_variant(payload, rng, names))
+        case Lam(param, annot, body):
+            body = _alpha_variant(body, rng, names)
+            new = rng.choice([n for n in names if n == param or n not in fv(body)])
+            return Lam(new, annot, rename_term_var(body, param, new))
+        case Catch(cont, body):
+            body = _alpha_variant(body, rng, names)
+            new = rng.choice([n for n in names if n == cont or n not in fcv(body)])
+            return Catch(new, rename_cont_var(body, cont, new))
+    return t
+
+
+def _key_groups():
+    """Groups of terms that are often alpha-equal: a generated term (typed
+    or untyped), alpha-variants of it, its reducts and its development,
+    and the same built from its canonical form, whose binders start with
+    `!` and sit at other heights once reduced."""
+    rng = random.Random(17)
+    for seed in range(300):
+        if seed % 2:
+            t = gen_term(GenConfig(seed=seed, max_size=14, typed=True))
+        else:
+            t = _gen_untyped(rng, 12, 0)
+        group = [t, _alpha_variant(t, rng), _alpha_variant(t, rng)]
+        for base in (t, canonical(t), oracle_canonical(t)):
+            group += [event.result for event in enumerate_redexes(base)]
+            group.append(complete_development(base))
+        yield group
+
+
+def test_canonical_keys_agree_with_the_oracle():
+    equal_pairs = 0
+    for group in _key_groups():
+        for t in group:
+            for u in group:
+                same = canonical(t) == canonical(u)
+                assert same == (oracle_canonical(t) == oracle_canonical(u))
+                equal_pairs += same and t is not u
+    assert equal_pairs > 1000
+
+
+def test_canonical_is_idempotent():
+    for group in _key_groups():
+        for t in group:
+            form = canonical(t)
+            assert canonical(form) == form
+            assert alpha_eq(form, t)
+
+
+def test_canonical_keeps_free_names_apart_from_binder_names():
+    # free names that look like a form's binder names are neither captured
+    # nor confused with one
+    open_body = Lam("y", None, Var("!x1"))
+    assert canonical(open_body) != canonical(p("\\z. z"))
+    assert canonical(open_body) == canonical(Lam("z", None, Var("!x1")))
+    closed = Lam("!x1", None, Lam("!x5", None, Var("!x1")))
+    assert canonical(closed) == canonical(p("\\x. \\y. x"))
+    assert canonical(closed) != canonical(p("\\x. \\y. y"))
+    assert canonical(Catch("c", Throw("!k1", UNIT))) != canonical(Catch("c", Throw("c", UNIT)))
+
+
+_FORM_LIKE = ("x", "!x1", "!x2", "!!x1", "a", "!k1", "!k2")
+
+
+def _form_like_term(rng, depth):
+    """A term whose free and bound names look like canonical forms' names."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return Var(rng.choice(_FORM_LIKE))
+    if roll < 0.5:
+        return Lam(rng.choice(_FORM_LIKE), None, _form_like_term(rng, depth - 1))
+    if roll < 0.7:
+        return App(_form_like_term(rng, depth - 1), _form_like_term(rng, depth - 1))
+    if roll < 0.85:
+        return Catch(rng.choice(_FORM_LIKE), _form_like_term(rng, depth - 1))
+    return Throw(rng.choice(_FORM_LIKE), _form_like_term(rng, depth - 1))
+
+
+def test_canonical_keys_agree_with_alpha_eq_on_form_like_names():
+    rng = random.Random(19)
+    for _ in range(1000):
+        t = _form_like_term(rng, 5)
+        # binding `!x1` where it is free in t, or binding nothing there
+        group = [t, _alpha_variant(t, rng, _FORM_LIKE), _alpha_variant(t, rng, _FORM_LIKE),
+                 _form_like_term(rng, 5), Lam("y", None, t),
+                 Lam("y", None, rename_term_var(t, "!x1", "y"))]
+        for a in group:
+            for b in group:
+                assert (canonical(a) == canonical(b)) == alpha_eq(a, b)
 
 
 def test_subst_respects_alpha_eq():
