@@ -13,6 +13,7 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -173,7 +174,9 @@ def _add_expr_flags(parser: argparse.ArgumentParser) -> None:
                         help="print unit lists as numerals (default on)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and reused by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="lcatch",
         description="Interpreter and metatheory bench for a CBV lambda "

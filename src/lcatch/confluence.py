@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 
 from .reduction import Frame, Rule, _plug, contractum, enumerate_redexes, redex
 from .syntax import (
-    App, Catch, Lam, Term, Throw, alpha_eq, canonical, is_value, size,
+    App, Catch, Lam, Term, Throw, alpha_eq, canonical, size,
 )
 
 
@@ -62,7 +62,7 @@ def throw_decompositions(t: Term) -> list[CompoundContextView]:
     while True:
         match t:
             case App(fun, arg):
-                if is_value(fun):
+                if fun.value:
                     frames.append((1, t))
                     t = arg
                 else:

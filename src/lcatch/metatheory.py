@@ -24,7 +24,7 @@ from .surface import print_term, print_type
 from .syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, Nil, Term, Throw,
     Type, UNIT, UNIT_TYPE, UnitVal, Var, canonical, children, cons, fcv,
-    is_value, lrec, replace_at, size, subterm_at,
+    lrec, replace_at, size, subterm_at,
 )
 from .typecheck import TypingEnv, TypingError, derivable, infer, is_arrow_free
 
@@ -358,7 +358,7 @@ def _sr_failing(t: Term) -> bool:
 
 
 def _check_progress(t: Term) -> Optional[str]:
-    if is_value(t):
+    if t.value:
         return None
     if step_cbv(t) is None:
         return "closed well-typed non-value has no CBV step"
@@ -413,7 +413,7 @@ def _list_of_values(t: Term) -> bool:
         match t:
             case Nil():
                 return True
-            case App(App(ConsC(), head), tail) if is_value(head):
+            case App(App(ConsC(), head), tail) if head.value:
                 t = tail
             case _:
                 return False
@@ -427,11 +427,11 @@ def _value_shape_ok(v: Term, ty: Type) -> bool:
     match v:
         case ConsC() | LrecC() | Lam():
             return True
-        case App(ConsC(), w) if is_value(w):
+        case App(ConsC(), w) if w.value:
             return True
-        case App(LrecC(), w) if is_value(w):
+        case App(LrecC(), w) if w.value:
             return True
-        case App(App(LrecC(), w1), w2) if is_value(w1) and is_value(w2):
+        case App(App(LrecC(), w1), w2) if w1.value and w2.value:
             return True
     return False
 
@@ -484,10 +484,10 @@ def run_property(prop: str, cases: int, cfg: GenConfig) -> PropertyReport:
             if prop == "Progress":
                 # progress is about non-values; redraw values deterministically
                 attempts = 0
-                while is_value(term) and attempts < 40:
+                while term.value and attempts < 40:
                     term = _gen_with_rng(rng, case_cfg)
                     attempts += 1
-                if is_value(term):
+                if term.value:
                     continue
                 detail = _check_progress(term)
                 shrink_pred = _progress_failing

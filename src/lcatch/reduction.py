@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .surface import print_term
 from .syntax import (
-    App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, children, fcv, is_value,
+    App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, children, fcv,
     lrec, replace_at, replace_child, subst,
 )
 
@@ -66,11 +66,11 @@ def redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
         fun, arg = t.fun, t.arg
         if type(fun) is Throw:
             return Rule.THROW, (fun,)
-        if not is_value(fun):
+        if not fun.value:
             return None
         if type(arg) is Throw:
             return Rule.THROW, (arg,)
-        if not is_value(arg):
+        if not arg.value:
             return None
         if type(fun) is Lam:
             return Rule.BETA_V, (fun.body, arg)
@@ -87,10 +87,10 @@ def redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
             payload = body.payload
             if body.cont == cont:
                 return Rule.CATCH_1, (payload,)
-            if is_value(payload) and cont not in fcv(payload):
+            if payload.value and cont not in fcv(payload):
                 return Rule.CATCH_2, (payload,)
             return None
-        if is_value(body) and cont not in fcv(body):
+        if body.value and cont not in fcv(body):
             return Rule.CATCH_3, (body,)
         return None
     if cls is Throw and type(t.payload) is Throw:
@@ -167,13 +167,13 @@ def _decompose(t: Term, frames: list[Frame]) -> tuple[Term, Optional[tuple[Rule,
         if c is not None:
             return t, c
         match t:
-            case App(fun, _) if not is_value(fun):
+            case App(fun, _) if not fun.value:
                 frames.append((0, t))
                 t = fun
-            case App(_, arg) if not is_value(arg):
+            case App(_, arg) if not arg.value:
                 frames.append((1, t))
                 t = arg
-            case Throw(_, payload) if not is_value(payload):
+            case Throw(_, payload) if not payload.value:
                 frames.append((0, t))
                 t = payload
             case Catch(_, body):
@@ -239,10 +239,10 @@ class Outcome:
 
 
 def _classify(t: Term) -> tuple[OutcomeKind, Optional[str]]:
-    if is_value(t):
+    if t.value:
         return OutcomeKind.VALUE, None
     match t:
-        case Throw(cont, payload) if is_value(payload):
+        case Throw(cont, payload) if payload.value:
             return OutcomeKind.UNCAUGHT_THROW, cont
     return OutcomeKind.ILL_FORMED, None
 
@@ -275,7 +275,7 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
                 trace.append(_event(frames, rule, t))
             else:
                 truncated = True
-        while frames and (is_value(t) or isinstance(t, Throw)):
+        while frames and (t.value or isinstance(t, Throw)):
             index, parent = frames.pop()
             t = replace_child(parent, index, t)
     t = _plug(frames, t)

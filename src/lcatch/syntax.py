@@ -67,59 +67,171 @@ def type_has_meta(ty: Type) -> bool:
 
 
 class Term:
-    """Base class for lambda-catch terms."""
+    """Base class for lambda-catch terms: slotted, immutable nodes.
 
-    __match_args__ = ()
+    Each node holds its fields and the memo slots listed under "Per-node
+    memos" below; `value` says whether the node is a value.  Nodes compare
+    and hash structurally, like frozen dataclasses of their fields, and
+    assigning or deleting any attribute raises AttributeError.
+    """
+
+    __slots__ = ("_free_vars", "_nesting", "_canonical", "_hash")
+    __match_args__: tuple[str, ...] = ()
+    # Variables, constants and lambdas are values; Catch and Throw are
+    # not, and App decides when it is built.
+    value = True
+
+    def __init__(self):
+        _clear_memos(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._fields())
+            _set_hash(self, h)
+        return h
+
+    def __reduce__(self):
+        # copy and pickle rebuild the node from its fields, memos cleared
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        # a loop, not a generator, so a nested repr costs one frame a level
+        fields = []
+        for name, value in zip(self.__match_args__, self._fields()):
+            fields.append(f"{name}={value!r}")
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
-@dataclass(frozen=True)
+def _clear_memos(t: Term) -> None:
+    _set_free_vars(t, None)
+    _set_nesting(t, None)
+    _set_canonical(t, None)
+    _set_hash(t, None)
+
+
+# Fields and memos are written once, through their slot descriptors.
+_set_free_vars = Term._free_vars.__set__
+_set_nesting = Term._nesting.__set__
+_set_canonical = Term._canonical.__set__
+_set_hash = Term._hash.__set__
+
+
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _var_name(self, name)
+        _clear_memos(self)
+
+    def _fields(self) -> tuple:
+        return (self.name,)
 
 
-@dataclass(frozen=True)
 class UnitVal(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Nil(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ConsC(Term):
     """The list constructor as an unapplied constant."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class LrecC(Term):
     """The list recursor as an unapplied constant."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Lam(Term):
-    param: str
-    annot: Optional[Type]
-    body: Term
+    __slots__ = ("param", "annot", "body")
+    __match_args__ = ("param", "annot", "body")
+
+    def __init__(self, param: str, annot: Optional[Type], body: Term):
+        _lam_param(self, param)
+        _lam_annot(self, annot)
+        _lam_body(self, body)
+        _clear_memos(self)
+
+    def _fields(self) -> tuple:
+        return (self.param, self.annot, self.body)
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fun: Term
-    arg: Term
+    """An application.  It is a value iff its argument is and its function
+    is cons or lrec, bare or applied to one value."""
+
+    __slots__ = ("fun", "arg", "value")
+    __match_args__ = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term):
+        _app_fun(self, fun)
+        _app_arg(self, arg)
+        _app_value(self, arg.value and (
+            type(fun) in _PARTIAL or type(fun) is App and fun.value and type(fun.fun) in _PARTIAL))
+        _clear_memos(self)
+
+    def _fields(self) -> tuple:
+        return (self.fun, self.arg)
 
 
-@dataclass(frozen=True)
 class Catch(Term):
-    cont: str
-    body: Term
+    __slots__ = ("cont", "body")
+    __match_args__ = ("cont", "body")
+    value = False
+
+    def __init__(self, cont: str, body: Term):
+        _catch_cont(self, cont)
+        _catch_body(self, body)
+        _clear_memos(self)
+
+    def _fields(self) -> tuple:
+        return (self.cont, self.body)
 
 
-@dataclass(frozen=True)
 class Throw(Term):
-    cont: str
-    payload: Term
+    __slots__ = ("cont", "payload")
+    __match_args__ = ("cont", "payload")
+    value = False
+
+    def __init__(self, cont: str, payload: Term):
+        _throw_cont(self, cont)
+        _throw_payload(self, payload)
+        _clear_memos(self)
+
+    def _fields(self) -> tuple:
+        return (self.cont, self.payload)
+
+
+_var_name = Var.name.__set__
+_lam_param, _lam_annot, _lam_body = Lam.param.__set__, Lam.annot.__set__, Lam.body.__set__
+_app_fun, _app_arg, _app_value = App.fun.__set__, App.arg.__set__, App.value.__set__
+_catch_cont, _catch_body = Catch.cont.__set__, Catch.body.__set__
+_throw_cont, _throw_payload = Throw.cont.__set__, Throw.payload.__set__
+# The constants that stay values when applied to up to two values.
+_PARTIAL = (ConsC, LrecC)
 
 
 UNIT = UnitVal()
@@ -182,11 +294,15 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 
 # Per-node memos.  Terms are immutable and share subtrees heavily, so
 # evaluation and the confluence checks revisit the same nodes many times.
-# Each memo is computed once per node and stored in its __dict__:
-#   _is_value   is_value
+# Every node declares one slot per memo and sets it to None when it is
+# built; None means "not computed yet", and the first call computes the
+# memo and writes it once through the slot's descriptor:
 #   _free_vars  free_vars
 #   _nesting    _nesting: the most lambdas and catches nested on one path
 #   _canonical  canonical: the canonical form, or _OWN_FORM
+#   _hash       hash: the structural hash
+# Whether a node is a value needs no memo: `value` is a class constant,
+# except on App, which computes it from its children when it is built.
 # No memo may refer to the node that holds it, directly or through the
 # terms it holds, so a node that is its own canonical form is marked with
 # _OWN_FORM instead of pointing at itself.  A dropped term and everything
@@ -195,24 +311,7 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 
 
 def is_value(t: Term) -> bool:
-    cached = t.__dict__.get("_is_value")
-    if cached is not None:
-        return cached
-    match t:
-        case Var() | UnitVal() | Nil() | ConsC() | LrecC() | Lam():
-            out = True
-        case App(ConsC(), a):
-            out = is_value(a)
-        case App(App(ConsC(), a), b):
-            out = is_value(a) and is_value(b)
-        case App(LrecC(), a):
-            out = is_value(a)
-        case App(App(LrecC(), a), b):
-            out = is_value(a) and is_value(b)
-        case _:
-            out = False
-    object.__setattr__(t, "_is_value", out)
-    return out
+    return t.value
 
 
 # ---------------------------------------------------------------------------
@@ -229,29 +328,39 @@ _EMPTY = VarSets(frozenset(), frozenset())
 
 
 def free_vars(t: Term) -> VarSets:
-    cached = t.__dict__.get("_free_vars")
-    if cached is not None:
-        return cached
-    match t:
-        case Var(name):
-            out = VarSets(frozenset((name,)), frozenset())
-        case UnitVal() | Nil() | ConsC() | LrecC():
-            out = _EMPTY
-        case Lam(param, _, body):
-            sub = free_vars(body)
-            out = VarSets(sub.term_vars - {param}, sub.cont_vars)
-        case App(fun, arg):
-            f, a = free_vars(fun), free_vars(arg)
+    """The free term and continuation variables of `t`.  A node whose sets
+    equal a child's shares that child's VarSets."""
+    out = t._free_vars
+    if out is not None:
+        return out
+    cls = type(t)
+    if cls is App:
+        f, a = free_vars(t.fun), free_vars(t.arg)
+        if a.term_vars <= f.term_vars and a.cont_vars <= f.cont_vars:
+            out = f
+        elif f.term_vars <= a.term_vars and f.cont_vars <= a.cont_vars:
+            out = a
+        else:
             out = VarSets(f.term_vars | a.term_vars, f.cont_vars | a.cont_vars)
-        case Catch(cont, body):
-            sub = free_vars(body)
-            out = VarSets(sub.term_vars, sub.cont_vars - {cont})
-        case Throw(cont, payload):
-            sub = free_vars(payload)
-            out = VarSets(sub.term_vars, sub.cont_vars | {cont})
-        case _:
-            raise ValueError(f"not a term: {t!r}")
-    object.__setattr__(t, "_free_vars", out)
+    elif cls is Lam:
+        out = free_vars(t.body)
+        if t.param in out.term_vars:
+            out = VarSets(out.term_vars - {t.param}, out.cont_vars)
+    elif cls is Var:
+        out = VarSets(frozenset((t.name,)), frozenset())
+    elif cls is Catch:
+        out = free_vars(t.body)
+        if t.cont in out.cont_vars:
+            out = VarSets(out.term_vars, out.cont_vars - {t.cont})
+    elif cls is Throw:
+        out = free_vars(t.payload)
+        if t.cont not in out.cont_vars:
+            out = VarSets(out.term_vars, out.cont_vars | {t.cont})
+    elif cls in (UnitVal, Nil, ConsC, LrecC):
+        out = _EMPTY
+    else:
+        raise ValueError(f"not a term: {t!r}")
+    _set_free_vars(t, out)
     return out
 
 
@@ -401,9 +510,9 @@ def _alpha_eq(a, b, env1, env2, cenv1, cenv2, depth) -> bool:
 
 def _nesting(t: Term) -> tuple[int, int]:
     """The most lambdas, and the most catches, nested on one path of `t`."""
-    cached = t.__dict__.get("_nesting")
-    if cached is not None:
-        return cached
+    out = t._nesting
+    if out is not None:
+        return out
     cls = type(t)
     if cls is App:
         (fun_lams, fun_catches), (arg_lams, arg_catches) = _nesting(t.fun), _nesting(t.arg)
@@ -418,7 +527,7 @@ def _nesting(t: Term) -> tuple[int, int]:
         out = _nesting(t.payload)
     else:
         return (0, 0)
-    object.__setattr__(t, "_nesting", out)
+    _set_nesting(t, out)
     return out
 
 
@@ -446,7 +555,7 @@ def canonical(t: Term) -> Term:
     are memoized per node.  Used as a dictionary key for deduplication;
     not part of the public term representation.
     """
-    form = t.__dict__.get("_canonical")
+    form = t._canonical
     if form is not None:
         return t if form is _OWN_FORM else form
     cls = type(t)
@@ -477,5 +586,5 @@ def canonical(t: Term) -> Term:
         return t
     else:
         raise ValueError(f"not a term: {t!r}")
-    object.__setattr__(t, "_canonical", _OWN_FORM if form is t else form)
+    _set_canonical(t, _OWN_FORM if form is t else form)
     return form

@@ -27,7 +27,7 @@ from typing import Optional
 from .surface import print_type
 from .syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar, Nil, Term,
-    Throw, Type, UNIT_TYPE, UnitVal, Var, children, type_has_meta,
+    Throw, Type, UNIT_TYPE, UnitType, UnitVal, Var, children, type_has_meta,
 )
 
 
@@ -89,6 +89,21 @@ class TypingEnv:
                     f"{print_type(ty)}")
 
 
+# Where a node sits, as a linked list of child indices: None at the root,
+# (where its parent sits, its index under the parent) below.  Going down
+# one level costs one pair; `_path` builds the path tuple only for an error
+# or a typed tree.
+_Where = Optional[tuple["_Where", int]]
+
+
+def _path(where: _Where) -> tuple[int, ...]:
+    path = []
+    while where is not None:
+        where, index = where
+        path.append(index)
+    return tuple(reversed(path))
+
+
 @dataclass(frozen=True)
 class TypedTerm:
     """A term with a fully solved type at every node."""
@@ -113,8 +128,10 @@ class _Solver:
 
     def prune(self, ty: Type) -> Type:
         """What `ty` stands for; the metavariables on the way now point at it."""
+        if type(ty) is not MetaVar:
+            return ty
         chain = []
-        while isinstance(ty, MetaVar) and ty.ident in self.assignments:
+        while type(ty) is MetaVar and ty.ident in self.assignments:
             chain.append(ty.ident)
             ty = self.assignments[ty.ident]
         for ident in chain:
@@ -145,38 +162,51 @@ class _Solver:
                 self.ground(cod)
 
     def _occurs(self, ident: int, ty: Type) -> bool:
-        ty = self.prune(ty)
-        if isinstance(ty, ArrowType):
+        cls = type(ty)
+        if cls is MetaVar:
+            ty = self.prune(ty)
+            cls = type(ty)
+        if cls is ArrowType:
             return self._occurs(ident, ty.dom) or self._occurs(ident, ty.cod)
-        if isinstance(ty, ListType):
+        if cls is ListType:
             return self._occurs(ident, ty.elem)
-        return isinstance(ty, MetaVar) and ty.ident == ident
+        return cls is MetaVar and ty.ident == ident
 
-    def unify(self, a: Type, b: Type, path: tuple[int, ...]) -> None:
-        a, b = self.prune(a), self.prune(b)
-        if a is b or a == b:
+    def unify(self, a: Type, b: Type, where: _Where) -> None:
+        """Unify `a` with `b`, or raise a TypingError at the node `where`."""
+        if type(a) is MetaVar:
+            a = self.prune(a)
+        if type(b) is MetaVar:
+            b = self.prune(b)
+        if a is b:
             return
-        if isinstance(a, MetaVar):
+        cls = type(a)
+        if cls is MetaVar:
+            if type(b) is MetaVar and b.ident == a.ident:
+                return
             if self._occurs(a.ident, b):
                 raise TypingError(ErrorKind.OCCURS_CHECK,
                                   f"occurs check: ?{a.ident} in {print_type(self.zonk(b))}",
-                                  path=path)
+                                  path=_path(where))
             self.assignments[a.ident] = b
             return
-        if isinstance(b, MetaVar):
-            self.unify(b, a, path)
+        if type(b) is MetaVar:
+            self.unify(b, a, where)
             return
-        if isinstance(a, ArrowType) and isinstance(b, ArrowType):
-            self.unify(a.dom, b.dom, path)
-            self.unify(a.cod, b.cod, path)
-            return
-        if isinstance(a, ListType) and isinstance(b, ListType):
-            self.unify(a.elem, b.elem, path)
-            return
+        if cls is type(b):
+            if cls is ArrowType:
+                self.unify(a.dom, b.dom, where)
+                self.unify(a.cod, b.cod, where)
+                return
+            if cls is ListType:
+                self.unify(a.elem, b.elem, where)
+                return
+            if cls is UnitType:
+                return
         raise TypingError(
             ErrorKind.MISMATCH,
             f"expected {print_type(self.zonk(a))}, found {print_type(self.zonk(b))}",
-            expected=self.zonk(a), found=self.zonk(b), path=path)
+            expected=self.zonk(a), found=self.zonk(b), path=_path(where))
 
 
 # ---------------------------------------------------------------------------
@@ -191,59 +221,59 @@ _THROW = ("throw payload type", ErrorKind.NON_ARROW_FREE_THROW, "throw payload a
 
 
 def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
-               delta: dict[str, Type], path: tuple[int, ...],
+               delta: dict[str, Type], where: _Where,
                conds: list, types: Optional[dict[tuple[int, ...], Type]]) -> Type:
-    """The type of `t`; its constraints go to `solver`, its binder side
-    conditions to `conds` in preorder, and, if `types` is given, the type
-    of every node to `types` by path."""
-    match t:
-        case Var(name):
-            if name not in gamma:
-                raise TypingError(ErrorKind.UNBOUND_VAR,
-                                  f"unbound variable {name!r}", path=path)
-            ty = gamma[name]
-        case UnitVal():
-            ty = UNIT_TYPE
-        case Nil():
-            ty = ListType(solver.fresh())
-        case ConsC():
-            elem = solver.fresh()
-            ty = ArrowType(elem, ArrowType(ListType(elem), ListType(elem)))
-        case LrecC():
-            res = solver.fresh()
-            elem = solver.fresh()
-            step = ArrowType(elem, ArrowType(ListType(elem), ArrowType(res, res)))
-            ty = ArrowType(res, ArrowType(step, ArrowType(ListType(elem), res)))
-        case Lam(param, annot, body):
-            dom = annot if annot is not None else solver.fresh()
-            conds.append((_LAM, dom, path))
-            ty = ArrowType(dom, _constrain(solver, body, {**gamma, param: dom}, delta,
-                                           path + (0,), conds, types))
-        case App(fun, arg):
-            f = _constrain(solver, fun, gamma, delta, path + (0,), conds, types)
-            a = _constrain(solver, arg, gamma, delta, path + (1,), conds, types)
-            ty = solver.fresh()
-            solver.unify(f, ArrowType(a, ty), path)
-        case Catch(cont, body):
-            ty = solver.fresh()
-            conds.append((_CATCH, ty, path))
-            inner = _constrain(solver, body, gamma, {**delta, cont: ty}, path + (0,),
-                               conds, types)
-            solver.unify(ty, inner, path)
-        case Throw(cont, payload):
-            if cont not in delta:
-                raise TypingError(ErrorKind.UNBOUND_CONT_VAR,
-                                  f"unbound continuation variable {cont!r}", path=path)
-            slot = len(conds)
-            conds.append(None)
-            inner = _constrain(solver, payload, gamma, delta, path + (0,), conds, types)
-            conds[slot] = (_THROW, inner, path)
-            solver.unify(delta[cont], inner, path)
-            ty = solver.fresh()
-        case _:
-            raise ValueError(f"not a term: {t!r}")
+    """The type of `t`, which sits at `where`; its constraints go to
+    `solver`, its binder side conditions to `conds` in preorder, and, if
+    `types` is given, the type of every node to `types` by path."""
+    cls = type(t)
+    if cls is App:
+        f = _constrain(solver, t.fun, gamma, delta, (where, 0), conds, types)
+        a = _constrain(solver, t.arg, gamma, delta, (where, 1), conds, types)
+        ty = solver.fresh()
+        solver.unify(f, ArrowType(a, ty), where)
+    elif cls is Var:
+        ty = gamma.get(t.name)
+        if ty is None:
+            raise TypingError(ErrorKind.UNBOUND_VAR,
+                              f"unbound variable {t.name!r}", path=_path(where))
+    elif cls is Lam:
+        dom = t.annot if t.annot is not None else solver.fresh()
+        conds.append((_LAM, dom, where))
+        ty = ArrowType(dom, _constrain(solver, t.body, {**gamma, t.param: dom}, delta,
+                                       (where, 0), conds, types))
+    elif cls is UnitVal:
+        ty = UNIT_TYPE
+    elif cls is Nil:
+        ty = ListType(solver.fresh())
+    elif cls is ConsC:
+        elem = solver.fresh()
+        ty = ArrowType(elem, ArrowType(ListType(elem), ListType(elem)))
+    elif cls is LrecC:
+        res = solver.fresh()
+        elem = solver.fresh()
+        step = ArrowType(elem, ArrowType(ListType(elem), ArrowType(res, res)))
+        ty = ArrowType(res, ArrowType(step, ArrowType(ListType(elem), res)))
+    elif cls is Catch:
+        ty = solver.fresh()
+        conds.append((_CATCH, ty, where))
+        inner = _constrain(solver, t.body, gamma, {**delta, t.cont: ty}, (where, 0),
+                           conds, types)
+        solver.unify(ty, inner, where)
+    elif cls is Throw:
+        if t.cont not in delta:
+            raise TypingError(ErrorKind.UNBOUND_CONT_VAR,
+                              f"unbound continuation variable {t.cont!r}", path=_path(where))
+        slot = len(conds)
+        conds.append(None)
+        inner = _constrain(solver, t.payload, gamma, delta, (where, 0), conds, types)
+        conds[slot] = (_THROW, inner, where)
+        solver.unify(delta[t.cont], inner, where)
+        ty = solver.fresh()
+    else:
+        raise ValueError(f"not a term: {t!r}")
     if types is not None:
-        types[path] = ty
+        types[_path(where)] = ty
     return ty
 
 
@@ -255,23 +285,23 @@ def _solve(env: TypingEnv, t: Term, expected: Optional[Type] = None, *,
     open metavariables as unit), and return the solved type of `t`."""
     solver = _Solver()
     conds: list = []
-    ty = _constrain(solver, t, dict(env.gamma), dict(env.delta), (), conds, types)
+    ty = _constrain(solver, t, dict(env.gamma), dict(env.delta), None, conds, types)
     if expected is None:
-        conds.insert(0, (_RESULT, ty, ()))
+        conds.insert(0, (_RESULT, ty, None))
     else:
-        solver.unify(expected, ty, ())
-    for (what, arrow_kind, arrow_what), cond_ty, path in conds:
+        solver.unify(expected, ty, None)
+    for (what, arrow_kind, arrow_what), cond_ty, where in conds:
         if ground:
             solver.ground(cond_ty)
         cond_ty = solver.zonk(cond_ty)
         if type_has_meta(cond_ty):
             raise TypingError(ErrorKind.AMBIGUOUS_TYPE,
                               f"unsolved {what} {print_type(cond_ty)}",
-                              found=cond_ty, path=path)
+                              found=cond_ty, path=_path(where))
         if arrow_kind is not None and not is_arrow_free(cond_ty):
             raise TypingError(arrow_kind,
                               f"{arrow_what} non-arrow-free type {print_type(cond_ty)}",
-                              found=cond_ty, path=path)
+                              found=cond_ty, path=_path(where))
     if types is not None:
         for node_path, node_ty in types.items():
             types[node_path] = solver.zonk(node_ty)

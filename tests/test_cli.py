@@ -1,7 +1,7 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
-from lcatch.cli import main
+from lcatch.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -61,6 +61,14 @@ def test_eval_no_prelude_makes_names_unbound():
     code, _, err = run_cli("eval", "-e", "pred #3", "--no-prelude")
     assert code == 2
     assert "UnboundVar" in err
+
+
+def test_parser_is_built_once_and_reused():
+    assert build_parser() is build_parser()
+    first = run_cli("eval", "-e", "plus #2 #3", "--count", "--no-sugar")
+    assert run_cli("eval", "-e", "plus #2 #3", "--count", "--no-sugar") == first
+    # options of one call do not leak into the next
+    assert run_cli("eval", "-e", "plus #2 #3") == (0, "#5\n", "")
 
 
 def test_eval_deterministic_output():

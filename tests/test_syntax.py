@@ -1,13 +1,19 @@
+import copy
+import pickle
 import random
+from dataclasses import dataclass
+from typing import Optional
+
+import pytest
 
 from lcatch.confluence import complete_development
 from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
 from lcatch.reduction import enumerate_redexes
 from lcatch.surface import parse_term
 from lcatch.syntax import (
-    App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, UnitVal, Var, alpha_eq,
-    canonical, cons, fcv, free_vars, fv, is_value, lrec, rename_cont_var,
-    rename_term_var, size, subst,
+    App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, Type, UNIT, UnitVal, Var, VarSets,
+    alpha_eq, canonical, children, cons, fcv, free_vars, fv, is_value, lrec,
+    rename_cont_var, rename_term_var, size, subst,
 )
 
 p = parse_term
@@ -43,6 +49,169 @@ def test_cons_of_non_value_is_not_value():
     assert not is_value(cons(Throw("a", UNIT), Nil()))
 
 
+# ------------- nodes against the dataclass oracle -------------
+# The term classes as frozen dataclasses, with the pattern-match is_value:
+# the representation the slotted nodes replaced.  Each class takes the
+# name of the node it models, so that its repr is the one nodes must print.
+
+
+class OTerm:
+    __match_args__ = ()
+
+
+@dataclass(frozen=True)
+class OVar(OTerm):
+    __qualname__ = "Var"
+    name: str
+
+
+@dataclass(frozen=True)
+class OUnitVal(OTerm):
+    __qualname__ = "UnitVal"
+
+
+@dataclass(frozen=True)
+class ONil(OTerm):
+    __qualname__ = "Nil"
+
+
+@dataclass(frozen=True)
+class OConsC(OTerm):
+    __qualname__ = "ConsC"
+
+
+@dataclass(frozen=True)
+class OLrecC(OTerm):
+    __qualname__ = "LrecC"
+
+
+@dataclass(frozen=True)
+class OLam(OTerm):
+    __qualname__ = "Lam"
+    param: str
+    annot: Optional[Type]
+    body: OTerm
+
+
+@dataclass(frozen=True)
+class OApp(OTerm):
+    __qualname__ = "App"
+    fun: OTerm
+    arg: OTerm
+
+
+@dataclass(frozen=True)
+class OCatch(OTerm):
+    __qualname__ = "Catch"
+    cont: str
+    body: OTerm
+
+
+@dataclass(frozen=True)
+class OThrow(OTerm):
+    __qualname__ = "Throw"
+    cont: str
+    payload: OTerm
+
+
+def oracle_is_value(t):
+    match t:
+        case OVar() | OUnitVal() | ONil() | OConsC() | OLrecC() | OLam():
+            return True
+        case OApp(OConsC(), a):
+            return oracle_is_value(a)
+        case OApp(OApp(OConsC(), a), b):
+            return oracle_is_value(a) and oracle_is_value(b)
+        case OApp(OLrecC(), a):
+            return oracle_is_value(a)
+        case OApp(OApp(OLrecC(), a), b):
+            return oracle_is_value(a) and oracle_is_value(b)
+    return False
+
+
+_ORACLE_CLASS = {Var: OVar, UnitVal: OUnitVal, Nil: ONil, ConsC: OConsC, LrecC: OLrecC,
+                 Lam: OLam, App: OApp, Catch: OCatch, Throw: OThrow}
+
+
+def to_oracle(t):
+    fields = [getattr(t, name) for name in t.__match_args__]
+    return _ORACLE_CLASS[type(t)](*(to_oracle(f) if isinstance(f, Term) else f for f in fields))
+
+
+def _subterms(t):
+    stack, out = [t], []
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        stack.extend(children(u))
+    return out
+
+
+def _node_groups():
+    """A generated term, typed or untyped, with its one-step reducts and
+    its complete development."""
+    rng = random.Random(23)
+    for seed in range(150):
+        for max_size in (8, 14, 20):
+            for typed in (True, False):
+                if typed:
+                    t = gen_term(GenConfig(seed=seed, max_size=max_size, typed=True))
+                else:
+                    t = _gen_untyped(rng, max_size, 0)
+                yield [t, complete_development(t)] + [e.result for e in enumerate_redexes(t)]
+
+
+def test_nodes_agree_with_the_dataclass_oracle():
+    checked = values = 0
+    for group in _node_groups():
+        subterms = {id(u): u for t in group for u in _subterms(t)}.values()
+        pairs = [(u, to_oracle(u)) for u in subterms]
+        for u, o in pairs:
+            assert u.value is oracle_is_value(o) is is_value(u)
+            assert hash(u) == hash(o)
+            assert repr(u) == repr(o)
+            values += u.value
+        # equality on every pair of subterms of one size: the pairs that
+        # can be equal, and the near misses between them
+        by_size = {}
+        for u, o in pairs:
+            by_size.setdefault(size(u), []).append((u, o))
+        for same_size in by_size.values():
+            for u, o in same_size:
+                for v, ov in same_size:
+                    assert (u == v) is (o == ov)
+                    assert (u != v) is (o != ov)
+        checked += len(pairs)
+    assert checked > 10000 and 0 < values < checked
+
+
+def test_nodes_are_immutable_and_have_no_dict():
+    for group in _node_groups():
+        for u in {id(u): u for t in group for u in _subterms(t)}.values():
+            assert not hasattr(u, "__dict__")
+            for name in u.__match_args__ + ("value", "_free_vars", "_hash", "fresh"):
+                with pytest.raises(AttributeError):
+                    setattr(u, name, UNIT)
+                with pytest.raises(AttributeError):
+                    delattr(u, name)
+
+
+def test_nodes_copy_and_pickle():
+    for group in _node_groups():
+        for t in group:
+            hash(t)
+            for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+                assert other == t and hash(other) == hash(t) and other.value is t.value
+
+
+def test_app_value_flag_follows_its_children():
+    v, w = p("\\x. x"), Throw("a", UNIT)
+    assert App(ConsC(), v).value and App(App(LrecC(), v), v).value
+    assert not App(App(App(LrecC(), v), v), Nil()).value
+    assert not App(App(ConsC(), w), Nil()).value and not App(ConsC(), w).value
+    assert not App(v, v).value and not App(App(v, v), v).value
+
+
 # ------------- free variables -------------
 
 
@@ -62,6 +231,21 @@ def test_throw_frees_continuation_and_payload():
     vs = free_vars(p("throw a x"))
     assert vs.term_vars == {"x"}
     assert vs.cont_vars == {"a"}
+
+
+def test_free_vars_share_sets_that_do_not_change():
+    # constants share one empty VarSets; a node whose sets equal a child's
+    # shares that child's
+    assert free_vars(UNIT) is free_vars(Nil()) is free_vars(ConsC())
+    y, throw = Var("y"), Throw("a", Var("y"))
+    assert free_vars(Lam("x", None, y)) is free_vars(y)
+    assert free_vars(Catch("b", throw)) is free_vars(throw)
+    assert free_vars(Throw("a", throw)) is free_vars(throw)
+    assert free_vars(App(throw, y)) is free_vars(throw)
+    assert free_vars(App(UNIT, throw)) is free_vars(throw)
+    assert free_vars(App(Var("x"), y)) == VarSets(frozenset("xy"), frozenset())
+    assert free_vars(Lam("y", None, y)).term_vars == set()
+    assert free_vars(Catch("a", throw)) == VarSets(frozenset("y"), frozenset())
 
 
 # ------------- substitution -------------

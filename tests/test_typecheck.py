@@ -7,7 +7,7 @@ from lcatch.prelude import lookup, prelude_defs
 from lcatch.surface import parse_term, print_type
 from lcatch.syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar, Nil, Term,
-    Throw, Type, UNIT, UNIT_TYPE, UnitVal, Var, type_has_meta,
+    Throw, Type, UNIT, UNIT_TYPE, UnitType, UnitVal, Var, type_has_meta,
 )
 from lcatch.typecheck import (
     ErrorKind, TypedTerm, TypingEnv, TypingError, check, derivable, infer,
@@ -111,6 +111,15 @@ def test_check_mismatch_reports_expected_and_found():
     assert info.value.found == UNIT_TYPE
 
 
+def test_unit_types_built_apart_unify():
+    # unification compares types by class, so a UnitType other than
+    # UNIT_TYPE still unifies with it
+    env = TypingEnv(gamma={"x": UnitType()})
+    assert infer(env, p("(\\y:1. y) x")) == UNIT_TYPE
+    check(EMPTY, UNIT, UnitType())
+    check(EMPTY, p("[()]"), ListType(UnitType()))
+
+
 def test_check_rejects_meta_in_expected_type():
     with pytest.raises(ValueError):
         check(EMPTY, UNIT, MetaVar(3))
@@ -205,6 +214,32 @@ def test_lambda_domain_checked_before_its_body():
     with pytest.raises(TypingError) as info:
         infer(EMPTY, p("(\\x. ()) (catch a. throw a [])"))
     assert info.value.render() == "AmbiguousType at /0: unsolved binder type [?3]"
+
+
+def _error_under(bottom, depth, alternate=False):
+    """The TypingError of `bottom` nested under `depth` lambdas, every
+    other one replaced by an application with `bottom` as its argument."""
+    t = bottom
+    for i in range(depth):
+        t = App(UNIT, t) if alternate and i % 2 else Lam("v", UNIT_TYPE, t)
+    with pytest.raises(TypingError) as info:
+        infer(EMPTY, t)
+    return info.value
+
+
+def test_error_paths_deep_in_the_term():
+    # raised on the way down, raised by unification on the way up, and
+    # raised by a side condition after solving
+    depth = 640
+    err = _error_under(Var("zz"), depth, alternate=True)
+    assert err.path == (1, 0) * (depth // 2)
+    assert err.render() == f"UnboundVar at {'/1/0' * (depth // 2)}: unbound variable 'zz'"
+    err = _error_under(App(UNIT, UNIT), depth)
+    assert err.path == (0,) * depth
+    assert err.render() == f"Mismatch at {'/0' * depth}: expected 1, found 1 -> ?1"
+    err = _error_under(p("catch a. \\x:1. x"), depth)
+    assert err.render() == \
+        f"NonArrowFreeCatch at {'/0' * depth}: catch bound at non-arrow-free type 1 -> 1"
 
 
 # ------------- the pipeline against the two-pass checker -------------
