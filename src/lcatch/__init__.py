@@ -21,8 +21,8 @@ from .reduction import (
     evaluate, step_cbv,
 )
 from .confluence import (
-    BudgetExceeded, ParallelStep, complete_development, is_parallel_step,
-    join, parallel_reducts,
+    BudgetExceeded, complete_development, is_parallel_step, join,
+    parallel_reducts,
 )
 from .prelude import NamedTerm, NotANumeral, decode_nat, encode_nat, library
 from .metatheory import GenConfig, PropertyReport, gen_term, minimize, run_property

@@ -4,9 +4,10 @@ Subcommands: check (type check an .lc file), eval (evaluate an
 expression), redexes (list one-step reducts), develop (apply the
 complete development), meta (run the metatheory property suites).
 
-Exit codes: 0 success; 1 parse error; 2 type error; 3 uncaught throw;
-4 out of fuel; 5 metatheory property failure; 6 resource exhaustion (a
-term nested too deeply for the interpreter's recursion limit).
+Exit codes: 0 success; 1 parse error, unreadable file or out-of-range
+flag; 2 type error; 3 uncaught throw; 4 out of fuel; 5 metatheory
+property failure; 6 resource exhaustion (a term nested too deeply for the
+interpreter's recursion limit).  Every error is one line on stderr.
 Identical invocations produce byte-identical output.
 """
 
@@ -59,15 +60,8 @@ def _parse_expression(expr: str, scope: list[tuple[str, Term]]) -> Term:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as handle:
-            prog = parse_program(handle.read())
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+    with open(args.file, encoding="utf-8") as handle:
+        prog = parse_program(handle.read())
     env = TypingEnv()
     expanded_defs = expand_defs(prog)
     try:
@@ -83,11 +77,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        term = _parse_expression(args.expr, _load_scope(args.prelude, args.use_prelude))
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
+    if args.max_steps < 0:
+        print("error: --max-steps must be at least 0", file=sys.stderr)
         return EXIT_PARSE
+    term = _parse_expression(args.expr, _load_scope(args.prelude, args.use_prelude))
     try:
         infer(TypingEnv(), term)
     except TypingError as err:
@@ -112,11 +105,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_redexes(args: argparse.Namespace) -> int:
-    try:
-        term = _parse_expression(args.expr, _load_scope(args.prelude, args.use_prelude))
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+    term = _parse_expression(args.expr, _load_scope(args.prelude, args.use_prelude))
     for event in enumerate_redexes(term):
         path = "/" + "/".join(map(str, event.path))
         print(f"[{event.rule.value}] @ {path} -> {print_term(event.result, sugar=args.sugar)}")
@@ -127,11 +116,7 @@ def cmd_develop(args: argparse.Namespace) -> int:
     if args.rounds < 1:
         print("error: --rounds must be at least 1", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        term = _parse_expression(args.expr, _load_scope(args.prelude, args.use_prelude))
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+    term = _parse_expression(args.expr, _load_scope(args.prelude, args.use_prelude))
     for _ in range(args.rounds):
         term = complete_development(term)
     print(print_term(term, sugar=args.sugar))
@@ -139,6 +124,9 @@ def cmd_develop(args: argparse.Namespace) -> int:
 
 
 def cmd_meta(args: argparse.Namespace) -> int:
+    if args.size < 1:
+        print("error: --size must be at least 1", file=sys.stderr)
+        return EXIT_PARSE
     if args.props == "all":
         props = list(metatheory.PROPERTIES)
     else:
@@ -226,6 +214,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ParseError as err:
+        print(f"parse error: {err}", file=sys.stderr)
+        return EXIT_PARSE
+    except (OSError, UnicodeDecodeError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_PARSE
     except RecursionError:
         print("resource error: term nested too deeply (recursion limit exceeded)",
               file=sys.stderr)

@@ -7,22 +7,22 @@ values are read as constraints on free *continuation* variables,
 matching the reduction rules.
 
 A compound context is a stack of the CBV machine's evaluation frames
-(apply-to, applied-value, throw); a throw can jump over a whole such
-stack in one parallel step, which generalizes the throw rule.  Every
-other rule comes from the redex view in `reduction`: development
-contracts it on developed slots, parallel reduction on every combination
-of the slots' parallel reducts.  The complete development contracts every
-redex at once and is the joinability witness: for any parallel reduct t'
-of t, t' parallel-steps to the complete development of t.
+(apply-to, applied-value, throw), held with the throw in its hole as a
+(frames, throw) pair; a throw can jump over a whole such stack in one
+parallel step, which generalizes the throw rule.  Every other rule comes
+from the redex view in `reduction`: development contracts it on developed
+slots, parallel reduction on every combination of the slots' parallel
+reducts.  The complete development contracts every redex at once and is
+the joinability witness: for any parallel reduct t' of t, t' parallel-steps
+to the complete development of t.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
-from .reduction import Frame, Rule, _plug, contractum, enumerate_redexes, redex
+from .reduction import Frame, Rule, contractum, enumerate_redexes, redex
 from .syntax import (
     App, Catch, Lam, Term, Throw, alpha_eq, canonical, size,
 )
@@ -39,25 +39,15 @@ DEFAULT_NODE_BUDGET = 14
 # Compound contexts
 
 
-@dataclass(frozen=True)
-class CompoundContextView:
-    """A decomposition t = frames[subject], with subject a throw."""
-
-    frames: tuple[Frame, ...]
-    hole_subject: Throw
-
-    def reassemble(self) -> Term:
-        return _plug(self.frames, self.hole_subject)
-
-
-def throw_decompositions(t: Term) -> list[CompoundContextView]:
-    """Every decomposition of `t` as a compound context around a throw.
+def throw_decompositions(t: Term) -> list[tuple[tuple[Frame, ...], Throw]]:
+    """Every decomposition of `t` as a compound context around a throw,
+    as (frames, throw) pairs: plugging the throw into the frames gives `t`.
 
     The frame spine is unique (into a non-value function, into the
     argument under a value function, through throw payloads), so the
     results are nested, ordered outermost first.
     """
-    out: list[CompoundContextView] = []
+    out: list[tuple[tuple[Frame, ...], Throw]] = []
     frames: list[Frame] = []
     while True:
         match t:
@@ -69,17 +59,11 @@ def throw_decompositions(t: Term) -> list[CompoundContextView]:
                     frames.append((0, t))
                     t = fun
             case Throw(_, payload):
-                out.append(CompoundContextView(tuple(frames), t))
+                out.append((tuple(frames), t))
                 frames.append((0, t))
                 t = payload
             case _:
                 return out
-
-
-def _maximal_decomposition(t: Term) -> Optional[CompoundContextView]:
-    """The decomposition with the largest context; its payload is never a throw."""
-    views = throw_decompositions(t)
-    return views[-1] if views else None
 
 
 def _view_redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
@@ -98,9 +82,10 @@ def complete_development(t: Term) -> Term:
     if found is not None:
         rule, slots = found
         return contractum(rule, t, tuple(complete_development(s) for s in slots))
-    view = _maximal_decomposition(t)
-    if view is not None:
-        throw = view.hole_subject
+    decompositions = throw_decompositions(t)
+    if decompositions:
+        # the largest context: its throw's payload is never a throw
+        _, throw = decompositions[-1]
         return Throw(throw.cont, complete_development(throw.payload))
     match t:
         case App(fun, arg):
@@ -158,8 +143,7 @@ def _preds(t: Term) -> list[Term]:
                 yield contractum(rule, t, combo)
         # a throw jumps over any compound context; the empty context is
         # the congruence for throw
-        for view in throw_decompositions(t):
-            throw = view.hole_subject
+        for _, throw in throw_decompositions(t):
             for p in _preds(throw.payload):
                 yield Throw(throw.cont, p)
 
@@ -176,44 +160,34 @@ def is_parallel_step(s: Term, t: Term,
     return any(canonical(u) == key for u in parallel_reducts(s, node_budget))
 
 
-@dataclass(frozen=True)
-class ParallelStep:
-    """A claimed simultaneous-contraction step from `source` to `target`."""
-
-    source: Term
-    target: Term
-
-    def valid(self, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-        return is_parallel_step(self.source, self.target, node_budget)
-
-
-def join(t1: Term, t2: Term, max_rounds: int = 16,
-         node_budget: Optional[int] = None) -> Optional[Term]:
+def join(t1: Term, t2: Term, max_rounds: int = 16) -> Optional[Term]:
     """Search for a common reduct by developing both sides in lockstep.
 
     Compares the two sides modulo alpha after each round of complete
-    development.  `node_budget`, when given, bounds the size of the
-    developed terms; exceeding it ends the search.  None means the search
-    was exhausted, not that no common reduct exists.
+    development.  None means the search was exhausted, not that no common
+    reduct exists.
     """
     a, b = t1, t2
     for _ in range(max_rounds + 1):
         if alpha_eq(a, b):
             return a
-        if node_budget is not None and (size(a) > node_budget or size(b) > node_budget):
-            return None
         a = complete_development(a)
         b = complete_development(b)
     return None
 
 
-def reachable_by_reduction(start: Term, target: Term, max_depth: int = 30,
-                           max_explored: int = 30000,
-                           max_size: int = 400) -> bool:
+# Caps on `reachable_by_reduction`: breadth-first rounds, reduction events
+# looked at, and the size of a reduct that is explored further.
+_REACH_MAX_DEPTH = 30
+_REACH_MAX_EXPLORED = 30000
+_REACH_MAX_SIZE = 400
+
+
+def reachable_by_reduction(start: Term, target: Term) -> bool:
     """Breadth-first check that `start` reduces to `target` in many steps.
 
     Used to validate that parallel reducts are ordinary multi-step
-    reducts; the caps keep exploration of divergent untyped graphs
+    reducts; the _REACH_* caps keep exploration of divergent untyped graphs
     finite and are generous for budget-sized inputs.
     """
     target_key = canonical(target)
@@ -222,18 +196,18 @@ def reachable_by_reduction(start: Term, target: Term, max_depth: int = 30,
     if canonical(start) == target_key:
         return True
     explored = 0
-    for _ in range(max_depth):
+    for _ in range(_REACH_MAX_DEPTH):
         next_frontier: list[Term] = []
         for u in frontier:
             for event in enumerate_redexes(u):
                 explored += 1
-                if explored > max_explored:
+                if explored > _REACH_MAX_EXPLORED:
                     return False
                 v = event.result
                 key = canonical(v)
                 if key == target_key:
                     return True
-                if key in seen or size(v) > max_size:
+                if key in seen or size(v) > _REACH_MAX_SIZE:
                     continue
                 seen.add(key)
                 next_frontier.append(v)

@@ -35,7 +35,6 @@ class GenConfig:
     max_size: int = 20
     typed: bool = True
     target_type: Optional[Type] = None
-    cont_depth: int = 2
 
     def __post_init__(self):
         if self.max_size < 1:
@@ -79,6 +78,8 @@ class PropertyReport:
 
 _TERM_POOL = ("x", "y", "z", "u", "v", "w")
 _CONT_POOL = ("a", "b", "c", "d")
+# The most catches the typed generator nests on one path.
+_CONT_DEPTH = 2
 
 
 def _random_type(rng: random.Random, depth: int = 2, arrows: bool = True) -> Type:
@@ -234,7 +235,7 @@ def _gen_with_rng(rng: random.Random, cfg: GenConfig) -> Term:
     if target is None:
         target = _random_type(rng, depth=2)
     for _ in range(20):
-        term = _gen_typed(rng, target, {}, {}, cfg.max_size, 0, cfg.cont_depth)
+        term = _gen_typed(rng, target, {}, {}, cfg.max_size, 0, _CONT_DEPTH)
         try:
             infer(TypingEnv(), term)
             return term
@@ -393,9 +394,14 @@ def _check_confluence_case(t: Term, which: str, budget: int) -> Optional[str]:
     return None
 
 
-def _check_sn(t: Term, small_limit: int = 12) -> tuple[Optional[str], bool]:
+# Terms of at most this size get their full reduction graph explored for
+# strong normalization; larger ones get one CBV run.
+_SN_GRAPH_SIZE = 12
+
+
+def _check_sn(t: Term) -> tuple[Optional[str], bool]:
     """Returns (failure detail, inconclusive flag)."""
-    if size(t) <= small_limit:
+    if size(t) <= _SN_GRAPH_SIZE:
         status = reduction_graph_status(t)
         if status == "cyclic":
             return "reduction cycle found on a well-typed term", False
@@ -476,8 +482,7 @@ def run_property(prop: str, cases: int, cfg: GenConfig) -> PropertyReport:
         shrink_pred: Optional[Callable[[Term], bool]] = None
 
         if prop in typed_props:
-            case_cfg = GenConfig(case_seed, cfg.max_size, True,
-                                 cfg.target_type, cfg.cont_depth)
+            case_cfg = GenConfig(case_seed, cfg.max_size, True, cfg.target_type)
             if prop == "FcvClosed" and case_cfg.target_type is None:
                 case_cfg.target_type = _random_type(rng, depth=2, arrows=False)
             term = _gen_with_rng(rng, case_cfg)

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 from .surface import print_term
 from .syntax import (
-    App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, children, fcv,
-    lrec, replace_at, replace_child, subst,
+    App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, children, fcv, lrec,
+    replace_child, subst,
 )
 
 
@@ -124,32 +124,43 @@ def contract(t: Term) -> Optional[tuple[Rule, Term]]:
     return rule, contractum(rule, t, slots)
 
 
+# One frame: the child index the hole sits at and the parent node around it.
+# Plugging a term into a frame rebuilds only the parent and shares its other
+# child.  A context is a sequence of frames, outermost first; the redex lister,
+# the CBV machine and the compound contexts of `confluence` all use them.
+Frame = tuple[int, Term]
+
+
+def _plug(frames: Sequence[Frame], t: Term) -> Term:
+    """The whole term: `t` plugged into the context `frames`."""
+    for index, parent in reversed(frames):
+        t = replace_child(parent, index, t)
+    return t
+
+
 def enumerate_redexes(t: Term) -> list[ReductionEvent]:
     """One event per contractible position, in leftmost-innermost order."""
     events: list[ReductionEvent] = []
-    _walk_redexes(t, t, (), events)
+    _walk_redexes(t, [], (), events)
     return events
 
 
-def _walk_redexes(t: Term, u: Term, path: tuple[int, ...],
+def _walk_redexes(u: Term, frames: list[Frame], path: tuple[int, ...],
                   events: list[ReductionEvent]) -> None:
-    """Append the events of the subterm `u` of `t` at `path`."""
+    """Append the events of the subterm `u`, which sits in the context
+    `frames` at `path`; each result is the contractum plugged into it."""
     for i, child in enumerate(children(u)):
-        _walk_redexes(t, child, path + (i,), events)
+        frames.append((i, u))
+        _walk_redexes(child, frames, path + (i,), events)
+        frames.pop()
     c = contract(u)
     if c is not None:
         rule, result = c
-        events.append(ReductionEvent(rule, path, replace_at(t, path, result)))
+        events.append(ReductionEvent(rule, path, _plug(frames, result)))
 
 
 # ---------------------------------------------------------------------------
 # The CBV machine
-
-# One evaluation frame: the child index the hole sits at and the parent node
-# around it.  Plugging a term into a frame rebuilds only the parent and
-# shares its other child.  A context is a sequence of frames, outermost
-# first; `confluence` builds its compound contexts from the same frames.
-Frame = tuple[int, Term]
 
 
 def _decompose(t: Term, frames: list[Frame]) -> tuple[Term, Optional[tuple[Rule, Term]]]:
@@ -181,13 +192,6 @@ def _decompose(t: Term, frames: list[Frame]) -> tuple[Term, Optional[tuple[Rule,
                 t = body
             case _:
                 return t, None
-
-
-def _plug(frames: Sequence[Frame], t: Term) -> Term:
-    """The whole term: `t` plugged into the context `frames`."""
-    for index, parent in reversed(frames):
-        t = replace_child(parent, index, t)
-    return t
 
 
 def _event(frames: list[Frame], rule: Rule, contractum: Term) -> ReductionEvent:

@@ -12,10 +12,6 @@ outermost, leftmost one.  The solver is union-find over metavariables
 with path compression.  After solving, each side condition is zonked
 and checked once: its type must be solved, never defaulted, and a catch
 binder or throw payload must be arrow-free.
-
-`infer_typed` additionally returns a tree of fully solved node types; the
-`replay` checker re-validates such a tree directly against the derivation
-rules, independently of the solver.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from typing import Optional
 from .surface import print_type
 from .syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar, Nil, Term,
-    Throw, Type, UNIT_TYPE, UnitType, UnitVal, Var, children, type_has_meta,
+    Throw, Type, UNIT_TYPE, UnitType, UnitVal, Var, type_has_meta,
 )
 
 
@@ -91,8 +87,7 @@ class TypingEnv:
 
 # Where a node sits, as a linked list of child indices: None at the root,
 # (where its parent sits, its index under the parent) below.  Going down
-# one level costs one pair; `_path` builds the path tuple only for an error
-# or a typed tree.
+# one level costs one pair; `_path` builds the path tuple only for an error.
 _Where = Optional[tuple["_Where", int]]
 
 
@@ -102,15 +97,6 @@ def _path(where: _Where) -> tuple[int, ...]:
         where, index = where
         path.append(index)
     return tuple(reversed(path))
-
-
-@dataclass(frozen=True)
-class TypedTerm:
-    """A term with a fully solved type at every node."""
-
-    term: Term
-    type: Type
-    children: tuple["TypedTerm", ...]
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +207,13 @@ _THROW = ("throw payload type", ErrorKind.NON_ARROW_FREE_THROW, "throw payload a
 
 
 def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
-               delta: dict[str, Type], where: _Where,
-               conds: list, types: Optional[dict[tuple[int, ...], Type]]) -> Type:
+               delta: dict[str, Type], where: _Where, conds: list) -> Type:
     """The type of `t`, which sits at `where`; its constraints go to
-    `solver`, its binder side conditions to `conds` in preorder, and, if
-    `types` is given, the type of every node to `types` by path."""
+    `solver`, its binder side conditions to `conds` in preorder."""
     cls = type(t)
     if cls is App:
-        f = _constrain(solver, t.fun, gamma, delta, (where, 0), conds, types)
-        a = _constrain(solver, t.arg, gamma, delta, (where, 1), conds, types)
+        f = _constrain(solver, t.fun, gamma, delta, (where, 0), conds)
+        a = _constrain(solver, t.arg, gamma, delta, (where, 1), conds)
         ty = solver.fresh()
         solver.unify(f, ArrowType(a, ty), where)
     elif cls is Var:
@@ -241,7 +225,7 @@ def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
         dom = t.annot if t.annot is not None else solver.fresh()
         conds.append((_LAM, dom, where))
         ty = ArrowType(dom, _constrain(solver, t.body, {**gamma, t.param: dom}, delta,
-                                       (where, 0), conds, types))
+                                       (where, 0), conds))
     elif cls is UnitVal:
         ty = UNIT_TYPE
     elif cls is Nil:
@@ -257,8 +241,7 @@ def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
     elif cls is Catch:
         ty = solver.fresh()
         conds.append((_CATCH, ty, where))
-        inner = _constrain(solver, t.body, gamma, {**delta, t.cont: ty}, (where, 0),
-                           conds, types)
+        inner = _constrain(solver, t.body, gamma, {**delta, t.cont: ty}, (where, 0), conds)
         solver.unify(ty, inner, where)
     elif cls is Throw:
         if t.cont not in delta:
@@ -266,26 +249,23 @@ def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
                               f"unbound continuation variable {t.cont!r}", path=_path(where))
         slot = len(conds)
         conds.append(None)
-        inner = _constrain(solver, t.payload, gamma, delta, (where, 0), conds, types)
+        inner = _constrain(solver, t.payload, gamma, delta, (where, 0), conds)
         conds[slot] = (_THROW, inner, where)
         solver.unify(delta[t.cont], inner, where)
         ty = solver.fresh()
     else:
         raise ValueError(f"not a term: {t!r}")
-    if types is not None:
-        types[_path(where)] = ty
     return ty
 
 
 def _solve(env: TypingEnv, t: Term, expected: Optional[Type] = None, *,
-           ground: bool = False,
-           types: Optional[dict[tuple[int, ...], Type]] = None) -> Type:
+           ground: bool = False) -> Type:
     """Constrain `t`, unify with `expected` (else the result type must be
     solved), check the side conditions (with `ground`, first solving their
     open metavariables as unit), and return the solved type of `t`."""
     solver = _Solver()
     conds: list = []
-    ty = _constrain(solver, t, dict(env.gamma), dict(env.delta), None, conds, types)
+    ty = _constrain(solver, t, dict(env.gamma), dict(env.delta), None, conds)
     if expected is None:
         conds.insert(0, (_RESULT, ty, None))
     else:
@@ -302,24 +282,7 @@ def _solve(env: TypingEnv, t: Term, expected: Optional[Type] = None, *,
             raise TypingError(arrow_kind,
                               f"{arrow_what} non-arrow-free type {print_type(cond_ty)}",
                               found=cond_ty, path=_path(where))
-    if types is not None:
-        for node_path, node_ty in types.items():
-            types[node_path] = solver.zonk(node_ty)
     return solver.zonk(ty)
-
-
-def infer_typed(env: TypingEnv, t: Term) -> TypedTerm:
-    """Infer and return the fully solved typed tree for `t`."""
-    types: dict[tuple[int, ...], Type] = {}
-    _solve(env, t, types=types)
-    return _build_typed(t, (), types)
-
-
-def _build_typed(node: Term, path: tuple[int, ...],
-                 types: dict[tuple[int, ...], Type]) -> TypedTerm:
-    return TypedTerm(node, types[path], tuple(
-        _build_typed(child, path + (i,), types)
-        for i, child in enumerate(children(node))))
 
 
 def infer(env: TypingEnv, t: Term) -> Type:
@@ -349,61 +312,3 @@ def derivable(env: TypingEnv, t: Term, ty: Type) -> bool:
     except TypingError:
         return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Independent derivation replayer
-
-
-def replay(env: TypingEnv, tt: TypedTerm) -> bool:
-    """Validate a typed tree directly against the derivation rules.
-
-    No unification: every node type is known, so each rule is a local
-    equality check.  Used as a soundness oracle for the solver.
-    """
-    return _replay(tt, dict(env.gamma), dict(env.delta))
-
-
-def _replay(node: TypedTerm, gamma: dict[str, Type], delta: dict[str, Type]) -> bool:
-    t, ty = node.term, node.type
-    match t:
-        case Var(name):
-            return gamma.get(name) == ty
-        case UnitVal():
-            return ty == UNIT_TYPE
-        case Nil():
-            return isinstance(ty, ListType)
-        case ConsC():
-            match ty:
-                case ArrowType(e, ArrowType(ListType(e2), ListType(e3))):
-                    return e == e2 == e3
-            return False
-        case LrecC():
-            match ty:
-                case ArrowType(r, ArrowType(ArrowType(e, ArrowType(ListType(e2), ArrowType(r2, r3))),
-                                            ArrowType(ListType(e3), r4))):
-                    return r == r2 == r3 == r4 and e == e2 == e3
-            return False
-        case Lam(param, annot, _):
-            match ty:
-                case ArrowType(dom, cod):
-                    if annot is not None and annot != dom:
-                        return False
-                    body = node.children[0]
-                    return body.type == cod and _replay(body, {**gamma, param: dom}, delta)
-            return False
-        case App():
-            f, a = node.children
-            return (f.type == ArrowType(a.type, ty)
-                    and _replay(f, gamma, delta) and _replay(a, gamma, delta))
-        case Catch(cont, _):
-            if not is_arrow_free(ty):
-                return False
-            body = node.children[0]
-            return body.type == ty and _replay(body, gamma, {**delta, cont: ty})
-        case Throw(cont, _):
-            if cont not in delta:
-                return False
-            payload = node.children[0]
-            return payload.type == delta[cont] and _replay(payload, gamma, delta)
-    return False

@@ -1,6 +1,8 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from lcatch.cli import build_parser, main
 
 
@@ -142,6 +144,34 @@ def test_check_too_deep_exits_with_resource_code(tmp_path):
     assert code == 6
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+def test_redexes_on_a_deep_catch_nest():
+    # the lister plugs each contractum into its frames without recursing,
+    # so it reaches about as deep as `eval`
+    depth = 900
+    code, out, err = run_cli("redexes", "--no-prelude", "-e", "catch a. " * depth + "()")
+    assert (code, err) == (0, "")
+    assert out == f"[catch_3] @ {'/0' * (depth - 1)} -> {'catch a. ' * (depth - 1)}()\n"
+
+
+# ------------- unreadable input and out-of-range flags -------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--prelude", "/nonexistent/prelude.lc", "-e", "()"],
+     "[Errno 2] No such file or directory: '/nonexistent/prelude.lc'"),
+    (["redexes", "--prelude", "{tmp}", "-e", "()"], "[Errno 21] Is a directory: '{tmp}'"),
+    (["check", "{tmp}/latin1.lc"],
+     "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+    (["eval", "-e", "()", "--max-steps", "-1"], "--max-steps must be at least 0"),
+    (["meta", "--size", "0"], "--size must be at least 1"),
+], ids=["missing-prelude", "prelude-is-a-directory", "non-utf8-file", "negative-max-steps",
+        "zero-size"])
+def test_bad_input_is_one_error_line(tmp_path, argv, message):
+    (tmp_path / "latin1.lc").write_bytes(b"def x = \xff;\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run_cli(*argv) == (1, "", f"error: {message.format(tmp=tmp_path)}\n")
 
 
 # ------------- redexes -------------

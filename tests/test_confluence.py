@@ -3,11 +3,11 @@ import random
 import pytest
 
 from lcatch.confluence import (
-    DEFAULT_NODE_BUDGET, BudgetExceeded, ParallelStep, complete_development, is_parallel_step,
+    DEFAULT_NODE_BUDGET, BudgetExceeded, complete_development, is_parallel_step,
     join, parallel_reducts, reachable_by_reduction, throw_decompositions,
 )
 from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
-from lcatch.reduction import enumerate_redexes
+from lcatch.reduction import _plug, enumerate_redexes
 from lcatch.surface import parse_term, print_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, Var, alpha_eq, canonical,
@@ -32,9 +32,9 @@ def test_decompositions_reassemble():
     rng = random.Random(31)
     for _ in range(400):
         t = _gen_untyped(rng, 12, 0)
-        for view in throw_decompositions(t):
-            assert view.reassemble() == t
-            assert isinstance(view.hole_subject, Throw)
+        for frames, throw in throw_decompositions(t):
+            assert _plug(frames, throw) == t
+            assert isinstance(throw, Throw)
 
 
 def test_decompositions_require_value_functions():
@@ -131,13 +131,13 @@ def test_is_parallel_step_examples():
 
 
 def test_parallel_step_validity():
-    assert ParallelStep(p("(\\x. x) ()"), UNIT).valid()
-    assert not ParallelStep(UNIT, p("(\\x. x) ()")).valid()
+    assert is_parallel_step(p("(\\x. x) ()"), UNIT)
+    assert not is_parallel_step(UNIT, p("(\\x. x) ()"))
     rng = random.Random(44)
     for _ in range(100):
         t = _gen_untyped(rng, 10, 0)
         for u in parallel_reducts(t):
-            assert ParallelStep(t, u).valid()
+            assert is_parallel_step(t, u)
 
 
 # ------------- confluence properties on random terms -------------

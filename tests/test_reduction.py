@@ -12,8 +12,8 @@ from lcatch.reduction import (
 )
 from lcatch.surface import expand_term, parse_term
 from lcatch.syntax import (
-    App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, alpha_eq, canonical, fcv,
-    is_value, replace_at, subst, subterm_at,
+    App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, alpha_eq, canonical,
+    children, fcv, is_value, replace_at, subst, subterm_at,
 )
 
 p = parse_term
@@ -190,11 +190,22 @@ def test_enumerate_descends_under_lambda():
     assert [e.rule for e in events] == [Rule.BETA_V]
 
 
+def postorder_paths(t, path=()):
+    for i, child in enumerate(children(t)):
+        yield from postorder_paths(child, path + (i,))
+    yield path
+
+
 def test_enumerate_event_results_are_consistent():
     rng = random.Random(22)
-    for _ in range(400):
-        t = _gen_untyped(rng, 12, 0)
-        for event in enumerate_redexes(t):
+    terms = [_gen_untyped(rng, 12, 0) for _ in range(400)]
+    terms += [gen_term(GenConfig(seed=seed, max_size=20, typed=True)) for seed in range(400)]
+    for t in terms:
+        events = enumerate_redexes(t)
+        # exactly the positions whose subterm contracts, in postorder
+        assert [event.path for event in events] == [
+            path for path in postorder_paths(t) if contract(subterm_at(t, path)) is not None]
+        for event in events:
             redex = subterm_at(t, event.path)
             rule, contractum = contract(redex)
             assert rule is event.rule
