@@ -127,6 +127,9 @@ def cmd_meta(args: argparse.Namespace) -> int:
     if args.size < 1:
         print("error: --size must be at least 1", file=sys.stderr)
         return EXIT_PARSE
+    if args.cases < 0:
+        print("error: --cases must be at least 0", file=sys.stderr)
+        return EXIT_PARSE
     if args.props == "all":
         props = list(metatheory.PROPERTIES)
     else:

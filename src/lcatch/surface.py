@@ -16,19 +16,28 @@ Grammar (UTF-8 text, `.lc` files):
 
 Prefix forms (lambda, catch, throw) bind to the end of their scope, so
 `catch a. f x` parses as `catch a. (f x)`.  Comments run from `--` to end
-of line.  Identifiers are ASCII: letter or underscore, then letters,
-digits, underscores, or primes.  A type ascription `(t : T)` elaborates to
-an identity application `(\\x: T. x) t`; the printer never emits one.
+of line.  Digits are ASCII digits.  Identifiers are ASCII: letter or
+underscore, then letters, digits, underscores, or primes.  A type
+ascription `(t : T)` elaborates to an identity application
+`(\\x: T. x) t`; the printer never emits one.
+
+The lexer is one compiled pattern: each match skips blanks and comments
+and captures one token, or any other single character as an error token,
+or the empty end of input.  `findall` over it gives the token texts, a
+dict gives their kinds, and the parser indexes the two parallel lists.
+Tokens carry no position: a ParseError lexes again up to the offending
+token to find its line and column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import (
-    App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar, Nil, Term,
-    Throw, Type, UNIT, UNIT_TYPE, UnitVal, Var, cons, subst,
+    CONS, LREC, App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar,
+    Nil, Term, Throw, Type, UNIT, UNIT_TYPE, UnitVal, Var, cons, subst,
 )
 
 
@@ -53,235 +62,202 @@ class SourceProgram:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_KEYWORDS = {"catch", "throw", "def", "main", "cons", "lrec"}
+# Blanks and comments are matched greedily, and some alternative always
+# matches right after them, so the pattern never backtracks into a
+# comment and the matches tile the source.
+_TOKEN = re.compile(r"""[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*
+    ( [A-Za-z_][A-Za-z0-9_']* | [\\.:()\[\],=;] | -> | \#[0-9]+ | [0-9]+
+    | . | \Z )""", re.VERBOSE | re.DOTALL)
 
-_SIMPLE = {
+_KINDS = {
     "\\": "LAMBDA", ".": "DOT", ":": "COLON", "(": "LPAREN", ")": "RPAREN",
     "[": "LBRACKET", "]": "RBRACKET", ",": "COMMA", "=": "EQUALS",
-    ";": "SEMI",
+    ";": "SEMI", "->": "ARROW", "#": "ERROR",    # '#' alone: no digits follow
+    **{word: word.upper() for word in ("catch", "throw", "def", "main", "cons", "lrec")},
 }
+# The kind of any other token follows from its first character.
+_FIRST = {"#": "HASHNUM", **dict.fromkeys("0123456789", "NUMBER"),
+          **dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "IDENT")}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _lex(src: str) -> tuple[list[str], list[str]]:
+    """Token kinds and texts, ending in one EOF token with text ''."""
+    texts = _TOKEN.findall(src)
+    del texts[texts.index(""):]    # the end of input matches once or twice
+    kinds = [_KINDS.get(t) or _FIRST.get(t[0], "ERROR") for t in texts]
+    if "ERROR" in kinds:
+        index = kinds.index("ERROR")
+        line, column = _position(src, index)
+        if texts[index] == "#":
+            raise ParseError(line, column, "expected digits after '#'", ["digits"])
+        raise ParseError(line, column, f"unexpected character {texts[index]!r}")
+    kinds.append("EOF")
+    texts.append("")
+    return kinds, texts
 
 
-def _lex(src: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if src.startswith("->", i):
-            tokens.append(Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SIMPLE:
-            tokens.append(Token(_SIMPLE[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError(line, col, "expected digits after '#'", ["digits"])
-            tokens.append(Token("HASHNUM", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(Token("NUMBER", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() and ch.isascii() or ch == "_":
-            j = i
-            while j < n and (src[j].isascii() and (src[j].isalnum() or src[j] in "_'")):
-                j += 1
-            word = src[i:j]
-            kind = word.upper() if word in _KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(line, col, f"unexpected character {ch!r}")
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+def _position(src: str, index: int) -> tuple[int, int]:
+    """1-based line and column of token `index` of `src` (EOF included)."""
+    for i, match in enumerate(_TOKEN.finditer(src)):
+        if i == index:
+            break
+    offset = match.start(1)
+    if offset == len(src):
+        # an end of input right after a comment sits where the comment starts
+        comment = src.find("--", max(match.start(), src.rfind("\n") + 1))
+        if comment != -1:
+            offset = comment
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-_ATOM_START = {"LPAREN", "LBRACKET", "HASHNUM", "IDENT", "CONS", "LREC"}
+_CLOSE = {"LPAREN": ("RPAREN", "')'"), "LBRACKET": ("RBRACKET", "']'")}
 
 
 class _Parser:
+    """Recursive descent over the token lists; `pos` indexes both."""
+
     def __init__(self, src: str):
-        self.tokens = _lex(src)
+        self.src = src
+        self.kinds, self.texts = _lex(src)
         self.pos = 0
 
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.pos]
+    def error_at(self, index: int, message: str, expected=None) -> ParseError:
+        line, column = _position(self.src, index)
+        return ParseError(line, column, message, expected)
 
-    def advance(self) -> Token:
-        t = self.tok
-        self.pos += 1
-        return t
+    def fail(self, pos: int, what: str, expected: list[str] | None = None) -> ParseError:
+        found = self.texts[pos] if self.kinds[pos] != "EOF" else "end of input"
+        return self.error_at(pos, f"expected {what}, found {found!r}", expected or [what])
 
-    def fail(self, message: str, expected: list[str]) -> ParseError:
-        t = self.tok
-        found = t.text if t.kind != "EOF" else "end of input"
-        return ParseError(t.line, t.column, f"{message}, found {found!r}", expected)
-
-    def expect(self, kind: str, what: str) -> Token:
-        if self.tok.kind != kind:
-            raise self.fail(f"expected {what}", [what])
-        return self.advance()
+    def expect(self, kind: str, what: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.fail(pos, what)
+        self.pos = pos + 1
+        return self.texts[pos]
 
     # types
 
     def parse_type(self) -> Type:
-        left = self.parse_type_atom()
-        if self.tok.kind == "ARROW":
-            self.advance()
+        kinds, pos = self.kinds, self.pos
+        kind = kinds[pos]
+        if kind == "NUMBER" and self.texts[pos] == "1":
+            left = UNIT_TYPE
+        elif kind in _CLOSE:
+            self.pos = pos + 1
+            left = self.parse_type()
+            pos = self.pos
+            close, what = _CLOSE[kind]
+            if kinds[pos] != close:
+                raise self.fail(pos, what)
+            if kind == "LBRACKET":
+                left = ListType(left)
+        else:
+            raise self.fail(pos, "a type", ["'1'", "'['", "'('"])
+        if kinds[pos + 1] == "ARROW":
+            self.pos = pos + 2
             return ArrowType(left, self.parse_type())
+        self.pos = pos + 1
         return left
-
-    def parse_type_atom(self) -> Type:
-        t = self.tok
-        if t.kind == "NUMBER" and t.text == "1":
-            self.advance()
-            return UNIT_TYPE
-        if t.kind == "LBRACKET":
-            self.advance()
-            inner = self.parse_type()
-            self.expect("RBRACKET", "']'")
-            return ListType(inner)
-        if t.kind == "LPAREN":
-            self.advance()
-            inner = self.parse_type()
-            self.expect("RPAREN", "')'")
-            return inner
-        raise self.fail("expected a type", ["'1'", "'['", "'('"])
 
     # terms
 
     def parse_term(self) -> Term:
-        t = self.tok
-        if t.kind == "LAMBDA":
-            self.advance()
-            name = self.expect("IDENT", "identifier").text
+        kinds, texts, pos = self.kinds, self.texts, self.pos
+        kind = kinds[pos]
+        if kind == "LAMBDA" or kind == "CATCH" or kind == "THROW":
+            if kinds[pos + 1] != "IDENT":
+                raise self.fail(pos + 1, "identifier")
+            name = texts[pos + 1]
+            self.pos = pos = pos + 2
+            if kind == "THROW":
+                return Throw(name, self.parse_term())
             annot = None
-            if self.tok.kind == "COLON":
-                self.advance()
+            if kind == "LAMBDA" and kinds[pos] == "COLON":
+                self.pos = pos + 1
                 annot = self.parse_type()
-            self.expect("DOT", "'.'")
+                pos = self.pos
+            if kinds[pos] != "DOT":
+                raise self.fail(pos, "'.'")
+            self.pos = pos + 1
+            if kind == "CATCH":
+                return Catch(name, self.parse_term())
             return Lam(name, annot, self.parse_term())
-        if t.kind == "CATCH":
-            self.advance()
-            name = self.expect("IDENT", "identifier").text
-            self.expect("DOT", "'.'")
-            return Catch(name, self.parse_term())
-        if t.kind == "THROW":
-            self.advance()
-            name = self.expect("IDENT", "identifier").text
-            return Throw(name, self.parse_term())
-        if t.kind not in _ATOM_START:
-            raise self.fail("expected a term",
-                            ["'\\\\'", "'catch'", "'throw'", "atom"])
-        out = self.parse_atom()
-        while self.tok.kind in _ATOM_START:
-            out = App(out, self.parse_atom())
-        return out
+        out = None
+        while True:
+            if kind == "IDENT":
+                atom = Var(texts[pos])
+            elif kind in _CLOSE:
+                self.pos = pos
+                atom = self.parse_group()
+                pos = self.pos - 1
+            elif kind == "HASHNUM":
+                atom = Nil()
+                for _ in range(int(texts[pos][1:])):
+                    atom = cons(UNIT, atom)
+            elif kind == "CONS":
+                atom = CONS
+            elif kind == "LREC":
+                atom = LREC
+            elif out is None:
+                raise self.fail(pos, "a term", ["'\\\\'", "'catch'", "'throw'", "atom"])
+            else:
+                self.pos = pos
+                return out
+            out = atom if out is None else App(out, atom)
+            pos += 1
+            kind = kinds[pos]
 
-    def parse_atom(self) -> Term:
-        t = self.tok
-        if t.kind == "IDENT":
-            self.advance()
-            return Var(t.text)
-        if t.kind == "CONS":
-            self.advance()
-            return ConsC()
-        if t.kind == "LREC":
-            self.advance()
-            return LrecC()
-        if t.kind == "HASHNUM":
-            self.advance()
-            out: Term = Nil()
-            for _ in range(int(t.text[1:])):
-                out = cons(UNIT, out)
-            return out
-        if t.kind == "LPAREN":
-            self.advance()
-            if self.tok.kind == "RPAREN":
-                self.advance()
-                return UNIT
-            inner = self.parse_term()
-            if self.tok.kind == "COLON":
-                self.advance()
-                ty = self.parse_type()
-                self.expect("RPAREN", "')'")
-                return App(Lam("_asc", ty, Var("_asc")), inner)
-            self.expect("RPAREN", "')'")
-            return inner
-        if t.kind == "LBRACKET":
-            self.advance()
-            if self.tok.kind == "RBRACKET":
-                self.advance()
-                return Nil()
-            items = [self.parse_term()]
-            while self.tok.kind == "COMMA":
-                self.advance()
-                items.append(self.parse_term())
-            self.expect("RBRACKET", "']'")
-            out = Nil()
-            for item in reversed(items):
-                out = cons(item, out)
-            return out
-        raise self.fail("expected a term", ["atom"])
+    def parse_group(self) -> Term:
+        """A term, unit, ascription or list literal in brackets."""
+        kinds, pos = self.kinds, self.pos
+        kind = kinds[pos]
+        close, what = _CLOSE[kind]
+        if kinds[pos + 1] == close:
+            self.pos = pos + 2
+            return UNIT if kind == "LPAREN" else Nil()
+        items = []
+        while True:
+            self.pos = pos + 1
+            items.append(self.parse_term())
+            pos = self.pos
+            if kind == "LPAREN" or kinds[pos] != "COMMA":
+                break
+        if kind == "LPAREN" and kinds[pos] == "COLON":
+            self.pos = pos + 1
+            items[0] = App(Lam("_asc", self.parse_type(), Var("_asc")), items[0])
+            pos = self.pos
+        if kinds[pos] != close:
+            raise self.fail(pos, what)
+        self.pos = pos + 1
+        if kind == "LPAREN":
+            return items[0]
+        out = Nil()
+        for item in reversed(items):
+            out = cons(item, out)
+        return out
 
     # programs
 
     def parse_program(self) -> SourceProgram:
         prog = SourceProgram()
         seen: set[str] = set()
-        while self.tok.kind == "DEF":
-            self.advance()
-            name_tok = self.expect("IDENT", "identifier")
-            if name_tok.text in seen:
-                raise ParseError(name_tok.line, name_tok.column,
-                                 f"duplicate definition of {name_tok.text!r}")
-            seen.add(name_tok.text)
+        kinds = self.kinds
+        while kinds[self.pos] == "DEF":
+            self.pos += 1
+            name = self.expect("IDENT", "identifier")
+            if name in seen:
+                raise self.error_at(self.pos - 1, f"duplicate definition of {name!r}")
+            seen.add(name)
             self.expect("EQUALS", "'='")
             body = self.parse_term()
             self.expect("SEMI", "';'")
-            prog.defs.append((name_tok.text, body))
-        if self.tok.kind == "MAIN":
-            self.advance()
+            prog.defs.append((name, body))
+        if kinds[self.pos] == "MAIN":
+            self.pos += 1
             self.expect("EQUALS", "'='")
             prog.main = self.parse_term()
             self.expect("SEMI", "';'")
@@ -342,56 +318,52 @@ def print_type(ty: Type) -> str:
     return "1"
 
 
-def _as_list(t: Term) -> Optional[list[Term]]:
-    """Elements of a literal cons chain ending in nil, else None."""
-    items: list[Term] = []
-    while True:
-        match t:
-            case Nil():
-                return items
-            case App(App(ConsC(), head), tail):
-                items.append(head)
-                t = tail
-            case _:
-                return None
-
-
 def print_term(t: Term, sugar: bool = False) -> str:
     """Render with minimal parentheses; `sugar` prints unit-lists as `#n`."""
     return _fmt(t, _TOP, sugar)
 
 
+_CONSTANTS = {UnitVal: "()", ConsC: "cons", LrecC: "lrec"}
+
+
 def _fmt(u: Term, ctx: int, sugar: bool) -> str:
-    items = _as_list(u)
-    if items is not None:
-        if sugar and all(isinstance(it, UnitVal) for it in items):
-            return f"#{len(items)}"
-        if not items:
-            return "[]"
-        return "[" + ", ".join(_fmt(it, _TOP, sugar) for it in items) + "]"
-    match u:
-        case Var(name):
-            return name
-        case UnitVal():
-            return "()"
-        case Nil():
-            return "[]"
-        case ConsC():
-            return "cons"
-        case LrecC():
-            return "lrec"
-        case Lam(param, annot, body):
-            ann = f": {print_type(annot)}" if annot is not None else ""
-            s = f"\\{param}{ann}. {_fmt(body, _TOP, sugar)}"
-            return s if ctx == _TOP else f"({s})"
-        case Catch(cont, body):
-            s = f"catch {cont}. {_fmt(body, _TOP, sugar)}"
-            return s if ctx == _TOP else f"({s})"
-        case Throw(cont, payload):
-            # the payload is a full term position: throw binds maximally
-            s = f"throw {cont} {_fmt(payload, _TOP, sugar)}"
-            return s if ctx == _TOP else f"({s})"
-        case App(fun, arg):
-            s = f"{_fmt(fun, _FUN, sugar)} {_fmt(arg, _ARG, sugar)}"
-            return s if ctx != _ARG else f"({s})"
-    raise ValueError(f"not a term: {u!r}")
+    cls = type(u)
+    if cls is App:
+        fun = u.fun
+        if type(fun) is App and type(fun.fun) is ConsC:
+            return _fmt_cons(u, ctx, sugar)
+        s = f"{_fmt(fun, _FUN, sugar)} {_fmt(u.arg, _ARG, sugar)}"
+        return s if ctx != _ARG else f"({s})"
+    if cls is Var:
+        return u.name
+    if cls is Lam:
+        ann = f": {print_type(u.annot)}" if u.annot is not None else ""
+        s = f"\\{u.param}{ann}. {_fmt(u.body, _TOP, sugar)}"
+    elif cls is Catch:
+        s = f"catch {u.cont}. {_fmt(u.body, _TOP, sugar)}"
+    elif cls is Throw:
+        # the payload is a full term position: throw binds maximally
+        s = f"throw {u.cont} {_fmt(u.payload, _TOP, sugar)}"
+    elif cls is Nil:
+        return "#0" if sugar else "[]"
+    elif cls in _CONSTANTS:
+        return _CONSTANTS[cls]
+    else:
+        raise ValueError(f"not a term: {u!r}")
+    return s if ctx == _TOP else f"({s})"
+
+
+def _fmt_cons(u: Term, ctx: int, sugar: bool) -> str:
+    """A cons cell: a list literal if its chain ends in nil, else nested
+    `cons h t` applications.  The chain is walked once."""
+    heads = []
+    while type(u) is App and type(u.fun) is App and type(u.fun.fun) is ConsC:
+        heads.append(u.fun.arg)
+        u = u.arg
+    if type(u) is Nil:
+        if sugar and all(type(h) is UnitVal for h in heads):
+            return f"#{len(heads)}"
+        return "[" + ", ".join([_fmt(h, _TOP, sugar) for h in heads]) + "]"
+    cells = [f"cons {_fmt(h, _ARG, sugar)} " for h in heads]
+    s = "(".join(cells) + _fmt(u, _ARG, sugar) + ")" * (len(cells) - 1)
+    return s if ctx != _ARG else f"({s})"

@@ -470,42 +470,33 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
 
 
 def _alpha_eq(a, b, env1, env2, cenv1, cenv2, depth) -> bool:
-    match a, b:
-        case Var(n1), Var(n2):
-            d1, d2 = env1.get(n1), env2.get(n2)
-            if d1 is None and d2 is None:
-                return n1 == n2
-            return d1 == d2
-        case UnitVal(), UnitVal():
-            return True
-        case Nil(), Nil():
-            return True
-        case ConsC(), ConsC():
-            return True
-        case LrecC(), LrecC():
-            return True
-        case Lam(p1, a1, b1), Lam(p2, a2, b2):
-            if (a1 is None) != (a2 is None):
+    # loops into the last child (an App's argument, a binder's body)
+    while True:
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is App:
+            if not _alpha_eq(a.fun, b.fun, env1, env2, cenv1, cenv2, depth):
                 return False
-            if a1 is not None and a1 != a2:
+            a, b = a.arg, b.arg
+        elif cls is Var:
+            d1, d2 = env1.get(a.name), env2.get(b.name)
+            return a.name == b.name if d1 is None and d2 is None else d1 == d2
+        elif cls is Lam:
+            if a.annot != b.annot:
                 return False
-            return _alpha_eq(b1, b2, {**env1, p1: depth}, {**env2, p2: depth},
-                             cenv1, cenv2, depth + 1)
-        case App(f1, x1), App(f2, x2):
-            return (_alpha_eq(f1, f2, env1, env2, cenv1, cenv2, depth)
-                    and _alpha_eq(x1, x2, env1, env2, cenv1, cenv2, depth))
-        case Catch(c1, b1), Catch(c2, b2):
-            return _alpha_eq(b1, b2, env1, env2,
-                             {**cenv1, c1: depth}, {**cenv2, c2: depth}, depth + 1)
-        case Throw(c1, p1), Throw(c2, p2):
-            d1, d2 = cenv1.get(c1), cenv2.get(c2)
-            if d1 is None and d2 is None:
-                if c1 != c2:
-                    return False
-            elif d1 != d2:
+            env1, env2 = {**env1, a.param: depth}, {**env2, b.param: depth}
+            a, b, depth = a.body, b.body, depth + 1
+        elif cls is Catch:
+            cenv1, cenv2 = {**cenv1, a.cont: depth}, {**cenv2, b.cont: depth}
+            a, b, depth = a.body, b.body, depth + 1
+        elif cls is Throw:
+            d1, d2 = cenv1.get(a.cont), cenv2.get(b.cont)
+            if a.cont != b.cont if d1 is None and d2 is None else d1 != d2:
                 return False
-            return _alpha_eq(p1, p2, env1, env2, cenv1, cenv2, depth)
-    return False
+            a, b = a.payload, b.payload
+        else:
+            return cls in (UnitVal, Nil, ConsC, LrecC)
 
 
 def _nesting(t: Term) -> tuple[int, int]:

@@ -158,6 +158,12 @@ def test_redexes_on_a_deep_catch_nest():
 # ------------- unreadable input and out-of-range flags -------------
 
 
+@pytest.mark.parametrize("expr", ["#\u00b2", "#\u0663"], ids=["superscript-two", "arabic-three"])
+def test_numerals_take_ascii_digits_only(expr):
+    # str.isdigit accepts these; the lexer does not
+    assert run_cli("eval", "-e", expr) == (1, "", "parse error: 1:1: expected digits after '#'\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["eval", "--prelude", "/nonexistent/prelude.lc", "-e", "()"],
      "[Errno 2] No such file or directory: '/nonexistent/prelude.lc'"),
@@ -166,8 +172,9 @@ def test_redexes_on_a_deep_catch_nest():
      "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
     (["eval", "-e", "()", "--max-steps", "-1"], "--max-steps must be at least 0"),
     (["meta", "--size", "0"], "--size must be at least 1"),
+    (["meta", "--cases", "-3"], "--cases must be at least 0"),
 ], ids=["missing-prelude", "prelude-is-a-directory", "non-utf8-file", "negative-max-steps",
-        "zero-size"])
+        "zero-size", "negative-cases"])
 def test_bad_input_is_one_error_line(tmp_path, argv, message):
     (tmp_path / "latin1.lc").write_bytes(b"def x = \xff;\n")
     argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -1,15 +1,18 @@
 import random
+from dataclasses import dataclass
+from importlib import resources
+from typing import Optional
 
 import pytest
 
 from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
 from lcatch.surface import (
-    ParseError, expand_defs, expand_term, parse_program, parse_term,
-    print_term, print_type,
+    ParseError, SourceProgram, expand_defs, expand_term, parse_program,
+    parse_term, print_term, print_type,
 )
 from lcatch.syntax import (
-    App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, Nil, Throw, UNIT,
-    UNIT_TYPE, Var, alpha_eq, cons,
+    App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, Nil, Term, Throw,
+    Type, UNIT, UNIT_TYPE, UnitVal, Var, alpha_eq, cons,
 )
 
 p = parse_term
@@ -175,3 +178,400 @@ def test_round_trip_typed_terms():
     for seed in range(300):
         t = gen_term(GenConfig(seed=seed, max_size=18, typed=True))
         assert alpha_eq(parse_term(print_term(t)), t)
+
+
+# ------------- the character-loop lexer, token-object parser and printer as oracles -------------
+# The regex lexer over token arrays, the parser that indexes them and the
+# printer that dispatches on the node class replaced the code below; it
+# stays here to pin that parsing, error positions and printing did not move.
+
+_KEYWORDS = {"catch", "throw", "def", "main", "cons", "lrec"}
+
+_SIMPLE = {
+    "\\": "LAMBDA", ".": "DOT", ":": "COLON", "(": "LPAREN", ")": "RPAREN",
+    "[": "LBRACKET", "]": "RBRACKET", ",": "COMMA", "=": "EQUALS",
+    ";": "SEMI",
+}
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def oracle_lex(src: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i, n = 0, len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("--", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if src.startswith("->", i):
+            tokens.append(Token("ARROW", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _SIMPLE:
+            tokens.append(Token(_SIMPLE[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            j = i + 1
+            while j < n and src[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ParseError(line, col, "expected digits after '#'", ["digits"])
+            tokens.append(Token("HASHNUM", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            tokens.append(Token("NUMBER", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() and ch.isascii() or ch == "_":
+            j = i
+            while j < n and (src[j].isascii() and (src[j].isalnum() or src[j] in "_'")):
+                j += 1
+            word = src[i:j]
+            kind = word.upper() if word in _KEYWORDS else "IDENT"
+            tokens.append(Token(kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(line, col, f"unexpected character {ch!r}")
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
+
+
+_ATOM_START = {"LPAREN", "LBRACKET", "HASHNUM", "IDENT", "CONS", "LREC"}
+
+
+class OracleParser:
+    def __init__(self, src: str):
+        self.tokens = oracle_lex(src)
+        self.pos = 0
+
+    @property
+    def tok(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        t = self.tok
+        self.pos += 1
+        return t
+
+    def fail(self, message: str, expected: list[str]) -> ParseError:
+        t = self.tok
+        found = t.text if t.kind != "EOF" else "end of input"
+        return ParseError(t.line, t.column, f"{message}, found {found!r}", expected)
+
+    def expect(self, kind: str, what: str) -> Token:
+        if self.tok.kind != kind:
+            raise self.fail(f"expected {what}", [what])
+        return self.advance()
+
+    def parse_type(self) -> Type:
+        left = self.parse_type_atom()
+        if self.tok.kind == "ARROW":
+            self.advance()
+            return ArrowType(left, self.parse_type())
+        return left
+
+    def parse_type_atom(self) -> Type:
+        t = self.tok
+        if t.kind == "NUMBER" and t.text == "1":
+            self.advance()
+            return UNIT_TYPE
+        if t.kind == "LBRACKET":
+            self.advance()
+            inner = self.parse_type()
+            self.expect("RBRACKET", "']'")
+            return ListType(inner)
+        if t.kind == "LPAREN":
+            self.advance()
+            inner = self.parse_type()
+            self.expect("RPAREN", "')'")
+            return inner
+        raise self.fail("expected a type", ["'1'", "'['", "'('"])
+
+    def parse_term(self) -> Term:
+        t = self.tok
+        if t.kind == "LAMBDA":
+            self.advance()
+            name = self.expect("IDENT", "identifier").text
+            annot = None
+            if self.tok.kind == "COLON":
+                self.advance()
+                annot = self.parse_type()
+            self.expect("DOT", "'.'")
+            return Lam(name, annot, self.parse_term())
+        if t.kind == "CATCH":
+            self.advance()
+            name = self.expect("IDENT", "identifier").text
+            self.expect("DOT", "'.'")
+            return Catch(name, self.parse_term())
+        if t.kind == "THROW":
+            self.advance()
+            name = self.expect("IDENT", "identifier").text
+            return Throw(name, self.parse_term())
+        if t.kind not in _ATOM_START:
+            raise self.fail("expected a term",
+                            ["'\\\\'", "'catch'", "'throw'", "atom"])
+        out = self.parse_atom()
+        while self.tok.kind in _ATOM_START:
+            out = App(out, self.parse_atom())
+        return out
+
+    def parse_atom(self) -> Term:
+        t = self.tok
+        if t.kind == "IDENT":
+            self.advance()
+            return Var(t.text)
+        if t.kind == "CONS":
+            self.advance()
+            return ConsC()
+        if t.kind == "LREC":
+            self.advance()
+            return LrecC()
+        if t.kind == "HASHNUM":
+            self.advance()
+            out: Term = Nil()
+            for _ in range(int(t.text[1:])):
+                out = cons(UNIT, out)
+            return out
+        if t.kind == "LPAREN":
+            self.advance()
+            if self.tok.kind == "RPAREN":
+                self.advance()
+                return UNIT
+            inner = self.parse_term()
+            if self.tok.kind == "COLON":
+                self.advance()
+                ty = self.parse_type()
+                self.expect("RPAREN", "')'")
+                return App(Lam("_asc", ty, Var("_asc")), inner)
+            self.expect("RPAREN", "')'")
+            return inner
+        if t.kind == "LBRACKET":
+            self.advance()
+            if self.tok.kind == "RBRACKET":
+                self.advance()
+                return Nil()
+            items = [self.parse_term()]
+            while self.tok.kind == "COMMA":
+                self.advance()
+                items.append(self.parse_term())
+            self.expect("RBRACKET", "']'")
+            out = Nil()
+            for item in reversed(items):
+                out = cons(item, out)
+            return out
+        raise self.fail("expected a term", ["atom"])
+
+    def parse_program(self) -> SourceProgram:
+        prog = SourceProgram()
+        seen: set[str] = set()
+        while self.tok.kind == "DEF":
+            self.advance()
+            name_tok = self.expect("IDENT", "identifier")
+            if name_tok.text in seen:
+                raise ParseError(name_tok.line, name_tok.column,
+                                 f"duplicate definition of {name_tok.text!r}")
+            seen.add(name_tok.text)
+            self.expect("EQUALS", "'='")
+            body = self.parse_term()
+            self.expect("SEMI", "';'")
+            prog.defs.append((name_tok.text, body))
+        if self.tok.kind == "MAIN":
+            self.advance()
+            self.expect("EQUALS", "'='")
+            prog.main = self.parse_term()
+            self.expect("SEMI", "';'")
+        self.expect("EOF", "end of input")
+        return prog
+
+
+def oracle_parse_term(src: str) -> Term:
+    parser = OracleParser(src)
+    out = parser.parse_term()
+    parser.expect("EOF", "end of input")
+    return out
+
+
+def oracle_parse_program(src: str) -> SourceProgram:
+    return OracleParser(src).parse_program()
+
+
+def _as_list(t: Term) -> Optional[list[Term]]:
+    items: list[Term] = []
+    while True:
+        match t:
+            case Nil():
+                return items
+            case App(App(ConsC(), head), tail):
+                items.append(head)
+                t = tail
+            case _:
+                return None
+
+
+def oracle_print_term(u: Term, sugar: bool = False, ctx: int = 0) -> str:
+    items = _as_list(u)
+    if items is not None:
+        if sugar and all(isinstance(it, UnitVal) for it in items):
+            return f"#{len(items)}"
+        if not items:
+            return "[]"
+        return "[" + ", ".join(oracle_print_term(it, sugar) for it in items) + "]"
+    match u:
+        case Var(name):
+            return name
+        case UnitVal():
+            return "()"
+        case ConsC():
+            return "cons"
+        case LrecC():
+            return "lrec"
+        case Lam(param, annot, body):
+            ann = f": {print_type(annot)}" if annot is not None else ""
+            s = f"\\{param}{ann}. {oracle_print_term(body, sugar)}"
+            return s if ctx == 0 else f"({s})"
+        case Catch(cont, body):
+            s = f"catch {cont}. {oracle_print_term(body, sugar)}"
+            return s if ctx == 0 else f"({s})"
+        case Throw(cont, payload):
+            s = f"throw {cont} {oracle_print_term(payload, sugar)}"
+            return s if ctx == 0 else f"({s})"
+        case App(fun, arg):
+            s = f"{oracle_print_term(fun, sugar, 1)} {oracle_print_term(arg, sugar, 2)}"
+            return s if ctx != 2 else f"({s})"
+    raise ValueError(f"not a term: {u!r}")
+
+
+def outcome(parse, src):
+    """What `parse` makes of `src`: its result, or the ParseError's fields.
+    Any other exception fails the test, except a RecursionError, which
+    only a term nested past the interpreter's depth limit may raise."""
+    try:
+        out = parse(src)
+    except ParseError as err:
+        return ("error", err.line, err.column, err.message, err.expected)
+    except RecursionError:
+        return ("too deep",)
+    if isinstance(out, SourceProgram):
+        return ("program", out.defs, out.main)
+    return ("term", out)
+
+
+# Pieces a mutation inserts or swaps in: every token, the comment and
+# arrow openers, and the characters the lexer rejects.  Non-ASCII digits
+# are left out on purpose: the old lexer read them with str.isdigit.
+MUTATION_ALPHABET = [
+    "--", "->", "-", "#", "'", "\u03bb", "\t", "\n", "\r", " ", "\\", ".", ":",
+    "(", ")", "[", "]", ",", "=", ";", "0", "1", "7", "x", "_", "x'",
+    "catch", "throw", "def", "main", "cons", "lrec", "()", "[]", "#2", "@",
+]
+
+
+def mutate(rng: random.Random, src: str) -> str:
+    """One to three random insertions, deletions or replacements."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(src))
+        op = rng.random()
+        if op < 0.4:
+            src = src[:i] + rng.choice(MUTATION_ALPHABET) + src[i:]
+        elif op < 0.7:
+            src = src[:i] + src[i + rng.randint(1, 3):]
+        else:
+            src = src[:i] + rng.choice(MUTATION_ALPHABET) + src[i + 1:]
+    return src
+
+
+def fuzz_inputs(seed: int, count: int) -> list[str]:
+    """The prelude, printed generated terms, and `count` mutations of them."""
+    rng = random.Random(seed)
+    prelude = resources.files("lcatch").joinpath("prelude.lc").read_text(encoding="utf-8")
+    programs = [prelude, prelude + "main = prodz [#4, #0, #9]; -- trailing comment"]
+    terms = []
+    for k in range(60):
+        typed = gen_term(GenConfig(seed=seed * 1000 + k, max_size=18, typed=True))
+        untyped = _gen_untyped(rng, 14, 0)
+        terms += [print_term(typed), print_term(untyped, sugar=k % 2 == 0)]
+    # half the mutations hit a program, so the definition syntax is fuzzed too
+    return programs + terms + [mutate(rng, rng.choice(rng.choice((programs, terms))))
+                               for _ in range(count)]
+
+
+def test_lexer_and_parser_match_the_oracle_on_mutated_inputs():
+    for src in fuzz_inputs(seed=8, count=1500):
+        assert outcome(parse_term, src) == outcome(oracle_parse_term, src), src
+        assert outcome(parse_program, src) == outcome(oracle_parse_program, src), src
+
+
+@pytest.mark.parametrize("src", [
+    "", "  ", "\n\n ", "x -- c", "x\n-- c", "x --", "a -- c\nb -- d", "-- only",
+    "x\t\t-", "\\x: 1 -> . x", "(x : [1)", "[x, y", "#", "# 3", "#12#", "x#",
+    "1", "01", "\\x: 01. x", "catch a: x", "throw . x", "def", "main = x",
+    "def f = x; def f = y;", "def f = x; main = y; main = z;", "x\r\ny z)",
+    "\u03bbx. x", "x'' y_ _z", "\\_: (1 -> [1]) -> 1. _", "((((x))))", "[[], [[]]]",
+    "\ufeffx", "x \u00a0 y", "\\x:1.x\f",
+])
+def test_edge_cases_match_the_oracle(src):
+    assert outcome(parse_term, src) == outcome(oracle_parse_term, src)
+    assert outcome(parse_program, src) == outcome(oracle_parse_program, src)
+
+
+def improper_chain(heads, end):
+    for head in reversed(heads):
+        end = cons(head, end)
+    return end
+
+
+def test_printer_matches_the_oracle():
+    ends = [Var("y"), App(ConsC(), UNIT), App(App(ConsC(), UNIT), Var("z")), LrecC(),
+            Lam("x", None, Nil()), Throw("a", Var("y")), Catch("a", Nil())]
+    heads = [UNIT, Nil(), Var("h"), cons(UNIT, Nil()), Lam("x", None, Var("x")),
+             improper_chain([UNIT], Var("w")), App(Var("f"), Var("g"))]
+    rng = random.Random(5)
+    terms = []
+    for _ in range(300):
+        inner = improper_chain(rng.choices(heads, k=rng.randint(0, 4)),
+                               rng.choice(ends + [Nil()]))
+        chain = improper_chain(rng.choices(heads + [inner], k=rng.randint(0, 6)),
+                               rng.choice(ends + [Nil(), inner]))
+        terms += [chain, App(chain, inner), App(Var("f"), chain), Lam("x", None, chain),
+                  Throw("a", chain), App(App(App(LrecC(), chain), inner), chain)]
+    terms += [_gen_untyped(rng, 16, 0) for _ in range(300)]
+    for t in terms:
+        for sugar in (False, True):
+            assert print_term(t, sugar=sugar) == oracle_print_term(t, sugar), t
+
+
+def test_printer_walks_a_long_improper_chain_once():
+    # each cell used to re-scan the rest of the chain and cost one frame
+    n = 20000
+    chain = improper_chain([UNIT] * n, Var("y"))
+    expected = "cons () " + "(cons () " * (n - 1) + "y" + ")" * (n - 1)
+    assert print_term(chain) == expected
+    assert print_term(chain, sugar=True) == expected
