@@ -51,7 +51,7 @@ def _load_scope(prelude_path: Optional[str], use_prelude: bool) -> list[tuple[st
         return []
     if prelude_path is None:
         return list(prelude.prelude_defs())
-    with open(prelude_path, encoding="utf-8") as handle:
+    with open(prelude_path, encoding="utf-8-sig") as handle:
         return expand_defs(parse_program(handle.read()))
 
 
@@ -60,7 +60,7 @@ def _parse_expression(expr: str, scope: list[tuple[str, Term]]) -> Term:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    with open(args.file, encoding="utf-8") as handle:
+    with open(args.file, encoding="utf-8-sig") as handle:
         prog = parse_program(handle.read())
     env = TypingEnv()
     expanded_defs = expand_defs(prog)

@@ -16,7 +16,8 @@ Grammar (UTF-8 text, `.lc` files):
 
 Prefix forms (lambda, catch, throw) bind to the end of their scope, so
 `catch a. f x` parses as `catch a. (f x)`.  Comments run from `--` to end
-of line.  Digits are ASCII digits.  Identifiers are ASCII: letter or
+of line.  Digits are ASCII digits, and a numeral has at most 18 of them
+after its leading zeros.  Identifiers are ASCII: letter or
 underscore, then letters, digits, underscores, or primes.  A type
 ascription `(t : T)` elaborates to an identity application
 `(\\x: T. x) t`; the printer never emits one.
@@ -114,6 +115,9 @@ def _position(src: str, index: int) -> tuple[int, int]:
 # Parser
 
 _CLOSE = {"LPAREN": ("RPAREN", "')'"), "LBRACKET": ("RBRACKET", "']'")}
+# A numeral of more significant digits needs at least 10**18 cons cells,
+# so it can never be built; refusing it first keeps `int` off huge strings.
+_NUMERAL_DIGITS = 18
 
 
 class _Parser:
@@ -195,8 +199,11 @@ class _Parser:
                 atom = self.parse_group()
                 pos = self.pos - 1
             elif kind == "HASHNUM":
+                digits = texts[pos][1:].lstrip("0")
+                if len(digits) > _NUMERAL_DIGITS:
+                    raise self.error_at(pos, "numeral too large")
                 atom = Nil()
-                for _ in range(int(texts[pos][1:])):
+                for _ in range(int(digits or "0")):
                     atom = cons(UNIT, atom)
             elif kind == "CONS":
                 atom = CONS

@@ -75,7 +75,7 @@ class Term:
     assigning or deleting any attribute raises AttributeError.
     """
 
-    __slots__ = ("_free_vars", "_nesting", "_canonical", "_hash")
+    __slots__ = ("_free_vars", "_nesting", "_canonical", "_hash", "_type")
     __match_args__: tuple[str, ...] = ()
     # Variables, constants and lambdas are values; Catch and Throw are
     # not, and App decides when it is built.
@@ -124,6 +124,7 @@ def _clear_memos(t: Term) -> None:
     _set_nesting(t, None)
     _set_canonical(t, None)
     _set_hash(t, None)
+    _set_type(t, None)
 
 
 # Fields and memos are written once, through their slot descriptors.
@@ -131,6 +132,7 @@ _set_free_vars = Term._free_vars.__set__
 _set_nesting = Term._nesting.__set__
 _set_canonical = Term._canonical.__set__
 _set_hash = Term._hash.__set__
+_set_type = Term._type.__set__
 
 
 class Var(Term):
@@ -301,6 +303,8 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 #   _nesting    _nesting: the most lambdas and catches nested on one path
 #   _canonical  canonical: the canonical form, or _OWN_FORM
 #   _hash       hash: the structural hash
+#   _type       typecheck.infer: (type, metavariables its walk allocated)
+#               of a term inferred closed; see typecheck's docstring
 # Whether a node is a value needs no memo: `value` is a class constant,
 # except on App, which computes it from its children when it is built.
 # No memo may refer to the node that holds it, directly or through the

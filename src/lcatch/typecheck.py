@@ -12,6 +12,25 @@ outermost, leftmost one.  The solver is union-find over metavariables
 with path compression.  After solving, each side condition is zonked
 and checked once: its type must be solved, never defaulted, and a catch
 binder or throw payload must be arrow-free.
+
+Closed-term memo.  When `infer` succeeds in the empty environment, it
+stores on the term's node its solved type and the number of
+metavariables its walk allocated (the syntax module's `_type` slot).
+`_constrain` reads that slot before walking a node: on a hit it returns
+the stored type and advances the metavariable counter by the stored
+count, so every metavariable allocated afterwards, and every `?n` in an
+error message, keeps its number.  This is exact.  A term that infers in
+the empty environment is closed, its type is ground, and every
+constraint and side condition inside it is solved and holds; its walk
+never touches a metavariable from outside it, and its own metavariables
+reach the context only through that ground type.  So in any context a
+full walk would return the same type, raise nothing, and add only side
+conditions that pass.  `check` and `derivable` never write the slot:
+`check` accepts terms whose own type is not ground (`\\x. x` at
+`[1] -> [1]`), and `derivable` grounds open metavariables at unit, so
+neither result is the term's type in every context.  `surface.expand_defs`
+shares each expanded definition by identity, so checking a program's
+definitions in order types each definition once.
 """
 
 from __future__ import annotations
@@ -23,7 +42,7 @@ from typing import Optional
 from .surface import print_type
 from .syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar, Nil, Term,
-    Throw, Type, UNIT_TYPE, UnitType, UnitVal, Var, type_has_meta,
+    Throw, Type, UNIT_TYPE, UnitType, UnitVal, Var, _set_type, type_has_meta,
 )
 
 
@@ -210,6 +229,10 @@ def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
                delta: dict[str, Type], where: _Where, conds: list) -> Type:
     """The type of `t`, which sits at `where`; its constraints go to
     `solver`, its binder side conditions to `conds` in preorder."""
+    memo = t._type
+    if memo is not None:
+        solver.counter += memo[1]
+        return memo[0]
     cls = type(t)
     if cls is App:
         f = _constrain(solver, t.fun, gamma, delta, (where, 0), conds)
@@ -258,12 +281,11 @@ def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
     return ty
 
 
-def _solve(env: TypingEnv, t: Term, expected: Optional[Type] = None, *,
+def _solve(solver: _Solver, env: TypingEnv, t: Term, expected: Optional[Type] = None, *,
            ground: bool = False) -> Type:
     """Constrain `t`, unify with `expected` (else the result type must be
     solved), check the side conditions (with `ground`, first solving their
     open metavariables as unit), and return the solved type of `t`."""
-    solver = _Solver()
     conds: list = []
     ty = _constrain(solver, t, dict(env.gamma), dict(env.delta), None, conds)
     if expected is None:
@@ -287,14 +309,18 @@ def _solve(env: TypingEnv, t: Term, expected: Optional[Type] = None, *,
 
 def infer(env: TypingEnv, t: Term) -> Type:
     """Infer the unique solved type of `t`, or raise TypingError."""
-    return _solve(env, t)
+    solver = _Solver()
+    ty = _solve(solver, env, t)
+    if t._type is None and not env.gamma and not env.delta:
+        _set_type(t, (ty, solver.counter))
+    return ty
 
 
 def check(env: TypingEnv, t: Term, ty: Type) -> None:
     """Check `t` against `ty` (which must contain no metavariables)."""
     if type_has_meta(ty):
         raise ValueError("check called with a metavariable in the expected type")
-    _solve(env, t, ty)
+    _solve(_Solver(), env, t, ty)
 
 
 def derivable(env: TypingEnv, t: Term, ty: Type) -> bool:
@@ -308,7 +334,7 @@ def derivable(env: TypingEnv, t: Term, ty: Type) -> bool:
     exactly: constraints solve, and the instantiated binder checks pass.
     """
     try:
-        _solve(env, t, ty, ground=True)
+        _solve(_Solver(), env, t, ty, ground=True)
     except TypingError:
         return False
     return True

@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import lcatch
 from lcatch.cli import build_parser, main
 
 
@@ -127,6 +132,26 @@ def test_check_main_expression(tmp_path):
     assert out.splitlines() == ["id : 1 -> 1", "main : 1"]
 
 
+def test_check_reads_a_byte_order_mark_like_its_absence(tmp_path):
+    source = "def id = \\x:1. x;\nmain = id ();\n"
+    plain, marked = tmp_path / "plain.lc", tmp_path / "marked.lc"
+    plain.write_text(source, encoding="utf-8")
+    marked.write_text("\ufeff" + source, encoding="utf-8")
+    assert run_cli("check", str(marked)) == run_cli("check", str(plain)) == \
+        (0, "id : 1 -> 1\nmain : 1\n", "")
+    assert run_cli("eval", "--prelude", str(marked), "-e", "id ()") == \
+        run_cli("eval", "--prelude", str(plain), "-e", "id ()") == (0, "()\n", "")
+
+
+def test_byte_order_mark_inside_a_file_is_a_parse_error(tmp_path):
+    target = tmp_path / "inner.lc"
+    target.write_text("def id = \\x:1. x;\n\ufeffmain = id ();\n", encoding="utf-8")
+    assert run_cli("check", str(target)) == \
+        (1, "", "parse error: 2:1: unexpected character '\\ufeff'\n")
+    assert run_cli("eval", "--prelude", str(target), "-e", "id ()") == \
+        (1, "", "parse error: 2:1: unexpected character '\\ufeff'\n")
+
+
 # ------------- resource exhaustion -------------
 
 
@@ -146,6 +171,20 @@ def test_check_too_deep_exits_with_resource_code(tmp_path):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("binder, type_text", [
+    ("\\v: 1. ", " -> ".join(["1"] * 901)), ("catch a. ", "1")], ids=["lambda", "catch"])
+def test_check_accepts_a_900_deep_nest_used_by_main(tmp_path, binder, type_text):
+    # in a fresh interpreter, whose stack is not already deep in pytest's;
+    # main reuses the definition's inferred type instead of walking it again
+    target = tmp_path / "deep.lc"
+    target.write_text(f"def deep = {binder * 900}();\nmain = (\\d. d) deep;\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(lcatch.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "lcatch.cli", "check", str(target)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"deep : {type_text}\nmain : {type_text}\n"
+
+
 def test_redexes_on_a_deep_catch_nest():
     # the lister plugs each contractum into its frames without recursing,
     # so it reaches about as deep as `eval`
@@ -162,6 +201,18 @@ def test_redexes_on_a_deep_catch_nest():
 def test_numerals_take_ascii_digits_only(expr):
     # str.isdigit accepts these; the lexer does not
     assert run_cli("eval", "-e", expr) == (1, "", "parse error: 1:1: expected digits after '#'\n")
+
+
+@pytest.mark.parametrize("digits", [19, 4301])
+def test_numerals_too_large_to_build_are_parse_errors(digits):
+    # refused before `int` sees them: 4301 digits is past CPython's limit
+    # for converting a string, and 19 already needs 10**18 cons cells
+    expr = "pred\n  #" + "1" * digits
+    assert run_cli("eval", "-e", expr) == (1, "", "parse error: 2:3: numeral too large\n")
+
+
+def test_leading_zeros_do_not_count_toward_the_numeral_limit():
+    assert run_cli("eval", "-e", "pred #" + "0" * 4301 + "3") == (0, "#2\n", "")
 
 
 @pytest.mark.parametrize("argv, message", [

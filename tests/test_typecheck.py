@@ -1,13 +1,18 @@
+import copy
+import pickle
+import random
 from dataclasses import dataclass
 
 import pytest
 
 from lcatch.metatheory import GenConfig, gen_term
-from lcatch.prelude import lookup, prelude_defs
-from lcatch.surface import parse_term, print_type
+from lcatch.prelude import lookup, prelude_defs, prelude_source
+from lcatch.surface import (
+    expand_defs, expand_term, parse_program, parse_term, print_term, print_type,
+)
 from lcatch.syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar, Nil, Term,
-    Throw, Type, UNIT, UNIT_TYPE, UnitType, UnitVal, Var, type_has_meta,
+    Throw, Type, UNIT, UNIT_TYPE, UnitType, UnitVal, Var, children, type_has_meta,
 )
 from lcatch.typecheck import (
     ErrorKind, TypingEnv, TypingError, check, derivable, infer, is_arrow_free,
@@ -533,3 +538,124 @@ def test_replay_rejects_a_forged_tree():
     tt = oracle_infer_typed(EMPTY, p("\\x:1. x"))
     forged = type(tt)(tt.term, ListType(UNIT_TYPE), tt.children)
     assert not replay(forged, {}, {})
+
+
+# ------------- closed-term memo -------------
+# `infer` stores the type of a term it inferred closed on the term's node,
+# and later walks return it without visiting the term again.  Expansion
+# shares each definition by identity, so checking a program's definitions
+# in order, as `lcatch check` does, hits the memo of every earlier one.
+# A deep copy rebuilds every node with its memos cleared, so `infer` on a
+# copy is the memo-free reference.
+
+
+def _memo_hits(t):
+    """Compound nodes strictly inside `t` whose memo a walk of `t` would
+    hit (a leaf with a memo can only be the shared `()`)."""
+    hits, stack = 0, list(children(t))
+    while stack:
+        u = stack.pop()
+        if u._type is None:
+            stack.extend(children(u))
+        elif children(u):
+            hits += 1
+    return hits
+
+
+def _check_in_order(source):
+    """Each definition's and main's outcome with the memo, as `lcatch check`
+    would meet them (but going on past errors), against a memo-free run;
+    returns the outcomes and the memo hits."""
+    prog = parse_program(source)
+    defs = expand_defs(prog)
+    terms = [term for _, term in defs]
+    if prog.main is not None:
+        terms.append(expand_term(prog.main, defs))
+    outcomes, hits = [], 0
+    for term in terms:
+        want = _outcome(infer, EMPTY, copy.deepcopy(term))
+        hits += _memo_hits(term)
+        got = _outcome(infer, EMPTY, term)
+        assert got == want
+        outcomes.append(got)
+    return outcomes, hits
+
+
+# Errors met after a hit on a prelude definition, so that every `?n` in
+# them counts the metavariables the skipped walk would have allocated.
+ERRORS_AFTER_A_HIT = {
+    "plus #1 (\\x. x)": "Mismatch at /: expected [1], found ?20 -> ?20",
+    "(\\q. \\u. u) (times #1 #2) (\\y. y)": "AmbiguousType at /: unsolved result type ?45 -> ?45",
+    "(\\p. \\u. p) (pred #3) (\\f. f f)": "OccursCheck at /1/0: occurs check: ?27 in ?27 -> ?28",
+    "pred nope": "UnboundVar at /1: unbound variable 'nope'",
+    "(\\q. q) (catch a. throw a plus)":
+        "NonArrowFreeCatch at /1: catch bound at non-arrow-free type [1] -> [1] -> [1]",
+}
+
+
+@pytest.mark.parametrize("main", list(ERRORS_AFTER_A_HIT))
+def test_memo_keeps_errors_after_a_hit(main):
+    outcomes, hits = _check_in_order(prelude_source() + f"main = {main};")
+    assert hits > 0
+    assert all(outcome[0] == "ok" for outcome in outcomes[:-1])
+    status, kind, message, path, _, _ = outcomes[-1]
+    assert status == "error"
+    assert TypingError(kind, message, path=path).render() == ERRORS_AFTER_A_HIT[main]
+
+
+# Later definitions built from earlier ones, well typed or not: {a} and {b}
+# name earlier definitions.
+_COMBINATIONS = (
+    "{a} {b}", "(\\u. \\v. v) {a} {b}", "[{a}, {b}]", "cons {a} {b}",
+    "catch k. throw k {a}", "catch k. {a}", "(\\f. f f) {a}", "\\w. {a}",
+    "lrec {a} (\\h. \\t. \\r. r) {b}", "({a} : [1])", "(\\u. u {a}) {b}",
+    "nope {a}", "(\\u: [1]. \\v. u) {a} {b}", "(\\u. \\v. u) {a} (\\x. x)",
+)
+
+
+def _random_program(seed):
+    rng = random.Random(seed)
+    lines = []
+    for i in range(8):
+        if i < 3 or rng.random() < 0.25:
+            cfg = GenConfig(seed=seed * 8 + i, max_size=10, typed=rng.random() < 0.8)
+            body = print_term(gen_term(cfg))
+        else:
+            body = rng.choice(_COMBINATIONS).format(
+                a=f"d{rng.randrange(i)}", b=f"d{rng.randrange(i)}")
+        lines.append(f"def d{i} = {body};")
+    lines.append(f"main = {rng.choice(_COMBINATIONS).format(a='d7', b='d6')};")
+    return "\n".join(lines)
+
+
+def test_memo_matches_a_memo_free_run_on_multi_definition_programs():
+    kinds, hits = set(), 0
+    for seed in range(300):
+        outcomes, program_hits = _check_in_order(_random_program(seed))
+        hits += program_hits
+        kinds.update(outcome[1] for outcome in outcomes if outcome[0] == "error")
+    assert hits > 1000
+    assert kinds >= {ErrorKind.MISMATCH, ErrorKind.AMBIGUOUS_TYPE, ErrorKind.OCCURS_CHECK,
+                     ErrorKind.UNBOUND_VAR, ErrorKind.NON_ARROW_FREE_CATCH}
+
+
+def test_memo_is_written_only_by_a_successful_closed_infer():
+    # \x. x checks at [1] -> [1] and is derivable there, but its own type
+    # is not ground, so infer rejects it and nothing is stored
+    ident = p("\\x. x")
+    check(EMPTY, ident, ArrowType(NAT, NAT))
+    assert derivable(EMPTY, ident, ArrowType(NAT, NAT))
+    assert kind_of(EMPTY, ident) is ErrorKind.AMBIGUOUS_TYPE
+    assert ident._type is None
+    t = p("(\\x: 1 -> 1. x) (\\y:1. y)")
+    ty = ArrowType(UNIT_TYPE, UNIT_TYPE)
+    check(EMPTY, t, ty)
+    assert derivable(EMPTY, t, ty)
+    for env in (TypingEnv(gamma={"unused": NAT}), TypingEnv(delta={"spare": UNIT_TYPE})):
+        assert infer(env, t) == ty
+    assert t._type is None
+    assert infer(EMPTY, t) == ty
+    assert t._type == (ty, 1)    # one metavariable, for the application
+    assert t.fun._type is None and t.arg._type is None
+    for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert other == t and other._type is None
