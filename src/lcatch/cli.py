@@ -33,24 +33,15 @@ EXIT_FUEL = 4
 EXIT_META = 5
 EXIT_RESOURCE = 6
 
-_PROP_ALIASES = {
-    "sr": "SubjectReduction",
-    "progress": "Progress",
-    "diamond": "Diamond",
-    "red-pred": "RedSubsetPred",
-    "pred-red": "PredSubsetRedd",
-    "takahashi": "TakahashiMpred",
-    "sn": "StrongNormalization",
-    "value-shapes": "ValueShapes",
-    "fcv": "FcvClosed",
-}
+_SHORT_NAMES = {row.short: row.name for row in metatheory.PROPERTY_TABLE}
 
 
 def _load_scope(prelude_path: Optional[str], use_prelude: bool) -> list[tuple[str, Term]]:
     if not use_prelude:
         return []
     if prelude_path is None:
-        return list(prelude.prelude_defs())
+        # the type-checked library, so inference reuses each definition's type
+        return [(entry.name, entry.term) for entry in prelude.library()]
     with open(prelude_path, encoding="utf-8-sig") as handle:
         return expand_defs(parse_program(handle.read()))
 
@@ -130,19 +121,14 @@ def cmd_meta(args: argparse.Namespace) -> int:
     if args.cases < 0:
         print("error: --cases must be at least 0", file=sys.stderr)
         return EXIT_PARSE
-    if args.props == "all":
-        props = list(metatheory.PROPERTIES)
-    else:
-        props = []
-        for raw in args.props.split(","):
-            key = raw.strip()
-            name = _PROP_ALIASES.get(key.lower(), key)
-            if name not in metatheory.PROPERTIES:
-                known = ", ".join(sorted(_PROP_ALIASES))
-                print(f"error: unknown property {key!r} (known: {known})",
-                      file=sys.stderr)
-                return EXIT_PARSE
-            props.append(name)
+    keys = (metatheory.PROPERTIES if args.props == "all"
+            else [raw.strip() for raw in args.props.split(",")])
+    props = [_SHORT_NAMES.get(key.lower(), key) for key in keys]
+    for key, name in zip(keys, props):
+        if name not in metatheory.PROPERTIES:
+            print(f"error: unknown property {key!r} "
+                  f"(known: {', '.join(sorted(_SHORT_NAMES))})", file=sys.stderr)
+            return EXIT_PARSE
     cfg = metatheory.GenConfig(seed=args.seed, max_size=args.size)
     failed = False
     for name in props:
@@ -201,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_meta = sub.add_parser("meta", help="run metatheory property suites")
     p_meta.add_argument("--props", default="all",
                         help="comma-separated properties (default all); "
-                             "short names: " + ", ".join(sorted(_PROP_ALIASES)))
+                             "short names: " + ", ".join(sorted(_SHORT_NAMES)))
     p_meta.add_argument("--cases", type=int, default=1000,
                         help="generated terms per property (default 1000)")
     p_meta.add_argument("--seed", type=int, default=0,

@@ -1,19 +1,21 @@
 """Random term generation and executable suites for the metatheorems.
 
-Two generators: a goal-directed typed generator (closed terms that the
-checker accepts, used for subject reduction, progress, normalization,
-value shapes, and continuation-closure) and an unconstrained untyped
-generator with boosted catch/throw frequency (used for the confluence
-properties, which hold untyped).  Both are deterministic in the seed.
+Two generators, both deterministic in the seed: a goal-directed typed
+one (closed terms that the checker accepts) and an unconstrained untyped
+one with boosted catch/throw frequency (confluence holds untyped).
 
-Each property runs over `cases` generated terms and reports failures as
-data; counterexamples are shrunk greedily before reporting.
+`PROPERTY_TABLE` declares each property once, in report order: its name,
+its `lcatch meta` short name, what it draws (a typed term, an untyped
+one, a typed non-value, or a typed term of an arrow-free type), whether
+a failing term is shrunk, and its check.  `run_property` runs every row
+the same way: draw, check, count, and record a failure, shrunk to a
+smaller term of the same draw when the row says so.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .confluence import (
@@ -39,19 +41,6 @@ class GenConfig:
     def __post_init__(self):
         if self.max_size < 1:
             raise ValueError("max_size must be at least 1")
-
-
-PROPERTIES = (
-    "SubjectReduction",
-    "Progress",
-    "Diamond",
-    "RedSubsetPred",
-    "PredSubsetRedd",
-    "TakahashiMpred",
-    "StrongNormalization",
-    "ValueShapes",
-    "FcvClosed",
-)
 
 
 @dataclass
@@ -300,40 +289,62 @@ GRAPH_NODE_CAP = 20000
 
 def reduction_graph_status(t: Term, cap: int = GRAPH_NODE_CAP) -> str:
     """Explore the full reduction graph: 'acyclic', 'cyclic', or 'overflow'."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colors: dict[Term, int] = {}
-    succs: dict[Term, list[Term]] = {}
-
-    def successors(key: Term, term: Term) -> list[Term]:
-        if key not in succs:
-            succs[key] = [event.result for event in enumerate_redexes(term)]
-        return succs[key]
-
+    GREY, BLACK = 1, 2
     root = canonical(t)
-    stack: list[tuple[Term, Term, int]] = [(root, t, 0)]
-    colors[root] = GREY
+    colors: dict[Term, int] = {root: GREY}
+    # each grey node's key and an iterator over its one-step reducts
+    stack = [(root, (event.result for event in enumerate_redexes(t)))]
     while stack:
-        key, term, idx = stack.pop()
-        kids = successors(key, term)
-        if idx < len(kids):
-            stack.append((key, term, idx + 1))
-            child = kids[idx]
-            child_key = canonical(child)
-            color = colors.get(child_key, WHITE)
-            if color == GREY:
-                return "cyclic"
-            if color == WHITE:
-                if len(colors) >= cap:
-                    return "overflow"
-                colors[child_key] = GREY
-                stack.append((child_key, child, 0))
-        else:
+        key, kids = stack[-1]
+        child = next(kids, None)
+        if child is None:
             colors[key] = BLACK
+            stack.pop()
+            continue
+        child_key = canonical(child)
+        color = colors.get(child_key)
+        if color == GREY:
+            return "cyclic"
+        if color is None:
+            if len(colors) >= cap:
+                return "overflow"
+            colors[child_key] = GREY
+            stack.append((child_key, (event.result for event in enumerate_redexes(child))))
     return "acyclic"
 
 
 # ---------------------------------------------------------------------------
-# Property checks
+# Properties.  A draw maps a case's RNG and the run's configuration to the
+# case's term, or to None to skip the case; a check maps the term and the
+# generator budget to None when the property holds, else a failure detail.
+
+
+def _draw_typed(rng: random.Random, cfg: GenConfig) -> Term:
+    return _gen_with_rng(rng, replace(cfg, typed=True))
+
+
+def _draw_untyped(rng: random.Random, cfg: GenConfig) -> Term:
+    return _gen_untyped(rng, cfg.max_size, 0)
+
+
+def _draw_non_value(rng: random.Random, cfg: GenConfig) -> Optional[Term]:
+    """A typed non-value: a value is redrawn, 40 times at most."""
+    for _ in range(41):
+        term = _draw_typed(rng, cfg)
+        if not term.value:
+            return term
+    return None
+
+
+def _draw_arrow_free(rng: random.Random, cfg: GenConfig) -> Term:
+    """A typed term at the target type, else at a random arrow-free type."""
+    if cfg.target_type is None:
+        cfg = replace(cfg, target_type=_random_type(rng, depth=2, arrows=False))
+    return _draw_typed(rng, cfg)
+
+
+# The detail of a case whose reduction graph outgrows the node cap.
+INCONCLUSIVE = "inconclusive"
 
 _EMPTY_ENV = TypingEnv()
 
@@ -346,7 +357,7 @@ def _is_well_typed(t: Term) -> bool:
         return False
 
 
-def _check_subject_reduction(t: Term) -> Optional[str]:
+def _check_subject_reduction(t: Term, budget: int) -> Optional[str]:
     ty = infer(_EMPTY_ENV, t)
     for event in enumerate_redexes(t):
         if not derivable(_EMPTY_ENV, event.result, ty):
@@ -354,44 +365,39 @@ def _check_subject_reduction(t: Term) -> Optional[str]:
     return None
 
 
-def _sr_failing(t: Term) -> bool:
-    return _is_well_typed(t) and _check_subject_reduction(t) is not None
-
-
-def _check_progress(t: Term) -> Optional[str]:
-    if t.value:
-        return None
-    if step_cbv(t) is None:
+def _check_progress(t: Term, budget: int) -> Optional[str]:
+    if not t.value and step_cbv(t) is None:
         return "closed well-typed non-value has no CBV step"
     return None
 
 
-def _progress_failing(t: Term) -> bool:
-    return _is_well_typed(t) and _check_progress(t) is not None
-
-
-def _check_confluence_case(t: Term, which: str, budget: int) -> Optional[str]:
-    reducts = parallel_reducts(t, budget)
-    if which == "RedSubsetPred":
-        keys = {canonical(u) for u in reducts}
-        for event in enumerate_redexes(t):
-            if canonical(event.result) not in keys:
-                return f"one-step reduct via {event.rule.value} is not a parallel reduct"
-        return None
-    if which == "PredSubsetRedd":
-        for u in reducts:
-            if not reachable_by_reduction(t, u):
-                return f"parallel reduct {print_term(u)} not reached by ->*"
-        return None
-    developed = complete_development(t)
-    for u in reducts:
-        # reducts of budget-sized terms can outgrow the budget; enumeration
-        # stays exhaustive for them
-        if not is_parallel_step(u, developed, max(size(u), 64)):
-            if which == "TakahashiMpred":
-                return f"reduct {print_term(u)} does not step to the development"
-            return f"diamond witness missing for {print_term(u)}"
+def _check_red_subset_pred(t: Term, budget: int) -> Optional[str]:
+    keys = {canonical(u) for u in parallel_reducts(t, budget)}
+    for event in enumerate_redexes(t):
+        if canonical(event.result) not in keys:
+            return f"one-step reduct via {event.rule.value} is not a parallel reduct"
     return None
+
+
+def _check_pred_subset_redd(t: Term, budget: int) -> Optional[str]:
+    for u in parallel_reducts(t, budget):
+        if not reachable_by_reduction(t, u):
+            return f"parallel reduct {print_term(u)} not reached by ->*"
+    return None
+
+
+def _steps_to_development(message: str) -> Callable[[Term, int], Optional[str]]:
+    """The check that every parallel reduct steps in parallel to the development."""
+    def check(t: Term, budget: int) -> Optional[str]:
+        reducts = parallel_reducts(t, budget)
+        developed = complete_development(t)
+        for u in reducts:
+            # reducts of budget-sized terms can outgrow the budget;
+            # enumeration stays exhaustive for them
+            if not is_parallel_step(u, developed, max(size(u), 64)):
+                return message.format(print_term(u))
+        return None
+    return check
 
 
 # Terms of at most this size get their full reduction graph explored for
@@ -399,19 +405,15 @@ def _check_confluence_case(t: Term, which: str, budget: int) -> Optional[str]:
 _SN_GRAPH_SIZE = 12
 
 
-def _check_sn(t: Term) -> tuple[Optional[str], bool]:
-    """Returns (failure detail, inconclusive flag)."""
+def _check_sn(t: Term, budget: int) -> Optional[str]:
     if size(t) <= _SN_GRAPH_SIZE:
         status = reduction_graph_status(t)
         if status == "cyclic":
-            return "reduction cycle found on a well-typed term", False
-        if status == "overflow":
-            return None, True
-        return None, False
-    outcome = evaluate(t)
-    if outcome.kind is OutcomeKind.OUT_OF_FUEL:
-        return "evaluation ran out of fuel on a well-typed term", False
-    return None, False
+            return "reduction cycle found on a well-typed term"
+        return INCONCLUSIVE if status == "overflow" else None
+    if evaluate(t).kind is OutcomeKind.OUT_OF_FUEL:
+        return "evaluation ran out of fuel on a well-typed term"
+    return None
 
 
 def _list_of_values(t: Term) -> bool:
@@ -442,7 +444,7 @@ def _value_shape_ok(v: Term, ty: Type) -> bool:
     return False
 
 
-def _check_value_shapes(t: Term) -> Optional[str]:
+def _check_value_shapes(t: Term, budget: int) -> Optional[str]:
     ty = infer(_EMPTY_ENV, t)
     outcome = evaluate(t)
     if outcome.kind is not OutcomeKind.VALUE:
@@ -453,7 +455,7 @@ def _check_value_shapes(t: Term) -> Optional[str]:
     return None
 
 
-def _check_fcv_closed(t: Term) -> Optional[str]:
+def _check_fcv_closed(t: Term, budget: int) -> Optional[str]:
     outcome = evaluate(t)
     if outcome.kind is not OutcomeKind.VALUE:
         return f"term did not evaluate to a value ({outcome.kind.value})"
@@ -462,67 +464,58 @@ def _check_fcv_closed(t: Term) -> Optional[str]:
     return None
 
 
+@dataclass(frozen=True)
+class Property:
+    name: str
+    short: str    # the name `lcatch meta --props` also takes
+    draw: Callable[[random.Random, GenConfig], Optional[Term]]
+    shrink: bool  # whether a failing term is shrunk before it is reported
+    check: Callable[[Term, int], Optional[str]]
+
+
+PROPERTY_TABLE = (
+    Property("SubjectReduction", "sr", _draw_typed, True, _check_subject_reduction),
+    Property("Progress", "progress", _draw_non_value, True, _check_progress),
+    Property("Diamond", "diamond", _draw_untyped, True,
+             _steps_to_development("diamond witness missing for {}")),
+    Property("RedSubsetPred", "red-pred", _draw_untyped, True, _check_red_subset_pred),
+    Property("PredSubsetRedd", "pred-red", _draw_untyped, True, _check_pred_subset_redd),
+    Property("TakahashiMpred", "takahashi", _draw_untyped, True,
+             _steps_to_development("reduct {} does not step to the development")),
+    Property("StrongNormalization", "sn", _draw_typed, False, _check_sn),
+    Property("ValueShapes", "value-shapes", _draw_typed, False, _check_value_shapes),
+    Property("FcvClosed", "fcv", _draw_arrow_free, False, _check_fcv_closed),
+)
+PROPERTIES = tuple(row.name for row in PROPERTY_TABLE)
+
+
 def run_property(prop: str, cases: int, cfg: GenConfig) -> PropertyReport:
     """Run a named metatheory property over `cases` generated terms.
 
-    `cases_run` counts the cases actually checked: a Progress case whose
-    every draw is a value is skipped.
+    Case i draws from `random.Random(cfg.seed + i)`.  `cases_run` counts
+    the cases actually checked: a case whose draw returns None is skipped.
     """
-    if prop not in PROPERTIES:
+    row = next((r for r in PROPERTY_TABLE if r.name == prop), None)
+    if row is None:
         raise ValueError(f"unknown property {prop!r}")
+    budget = cfg.max_size
+
+    def failing(u: Term) -> bool:
+        # a shrunk term stays one the draw could give: in budget, or well typed
+        in_draw = size(u) <= budget if row.draw is _draw_untyped else _is_well_typed(u)
+        return in_draw and row.check(u, budget) not in (None, INCONCLUSIVE)
+
     report = PropertyReport(prop, 0)
-
-    typed_props = {"SubjectReduction", "Progress", "StrongNormalization",
-                   "ValueShapes", "FcvClosed"}
-
     for i in range(cases):
         case_seed = cfg.seed + i
-        rng = random.Random(case_seed)
-        detail: Optional[str] = None
-        shrink_pred: Optional[Callable[[Term], bool]] = None
-
-        if prop in typed_props:
-            case_cfg = GenConfig(case_seed, cfg.max_size, True, cfg.target_type)
-            if prop == "FcvClosed" and case_cfg.target_type is None:
-                case_cfg.target_type = _random_type(rng, depth=2, arrows=False)
-            term = _gen_with_rng(rng, case_cfg)
-            if prop == "Progress":
-                # progress is about non-values; redraw values deterministically
-                attempts = 0
-                while term.value and attempts < 40:
-                    term = _gen_with_rng(rng, case_cfg)
-                    attempts += 1
-                if term.value:
-                    continue
-                detail = _check_progress(term)
-                shrink_pred = _progress_failing
-            elif prop == "SubjectReduction":
-                detail = _check_subject_reduction(term)
-                shrink_pred = _sr_failing
-            elif prop == "StrongNormalization":
-                detail, inconclusive = _check_sn(term)
-                if inconclusive:
-                    report.inconclusive += 1
-            elif prop == "ValueShapes":
-                detail = _check_value_shapes(term)
-            else:
-                detail = _check_fcv_closed(term)
-        else:
-            budget = cfg.max_size
-            term = _gen_untyped(rng, budget, 0)
-            detail = _check_confluence_case(term, prop, budget)
-
-            def shrink_pred(u, _prop=prop, _budget=budget):
-                return (size(u) <= _budget
-                        and _check_confluence_case(u, _prop, _budget) is not None)
-
+        term = row.draw(random.Random(case_seed), cfg)
+        if term is None:
+            continue
+        detail = row.check(term, budget)
         report.cases_run += 1
-        if detail is not None:
-            minimized = term
-            if shrink_pred is not None:
-                try:
-                    minimized = minimize(term, shrink_pred)
-                except ValueError:  # pragma: no cover - flaky predicate
-                    minimized = term
-            report.failures.append((case_seed, minimized, detail))
+        if detail is INCONCLUSIVE:
+            report.inconclusive += 1
+        elif detail is not None:
+            report.failures.append(
+                (case_seed, minimize(term, failing) if row.shrink else term, detail))
     return report

@@ -405,17 +405,21 @@ def rename_term_var(t: Term, old: str, new: str) -> Term:
 
 
 def rename_cont_var(t: Term, old: str, new: str) -> Term:
-    """Replace free continuation variable `old` by `new` (new must be fresh)."""
+    """Replace the free continuation variable `old` by `new`, which must not
+    be free in `t`.  A catch that binds `new` is freshened first, so no
+    renamed throw is captured; a subtree without a free `old` is returned
+    as it is."""
+    if old not in free_vars(t).cont_vars:
+        return t
     match t:
-        case Var() | UnitVal() | Nil() | ConsC() | LrecC():
-            return t
         case Lam(param, annot, body):
             return Lam(param, annot, rename_cont_var(body, old, new))
         case App(fun, arg):
             return App(rename_cont_var(fun, old, new), rename_cont_var(arg, old, new))
         case Catch(cont, body):
-            if cont == old:
-                return t
+            if cont == new:
+                cont = fresh_name(cont, free_vars(body).cont_vars | {new})
+                body = rename_cont_var(body, new, cont)
             return Catch(cont, rename_cont_var(body, old, new))
         case Throw(cont, payload):
             return Throw(new if cont == old else cont, rename_cont_var(payload, old, new))

@@ -41,6 +41,18 @@ def test_eval_trace():
     assert out.splitlines() == ["step 1: [beta_v] ()", "()"]
 
 
+
+def test_eval_throw_is_not_captured_by_a_renamed_catch():
+    # substituting the outer handler freshens the middle `catch a` to a1;
+    # its throw must not then be captured by the inner `catch a1`
+    expr = ("catch a. (\\x: 1 -> [1]. catch a. cons () (catch a1. cons () "
+            "(x (throw a #7)))) (\\w: 1. throw a #5)")
+    renamed = expr.replace("catch a. cons", "catch b. cons").replace("throw a #7", "throw b #7")
+    for text in (expr, renamed):
+        code, out, _ = run_cli("eval", "--count", "-e", text)
+        assert code == 0
+        assert out.splitlines() == ["#7", "steps: 8"]
+
 def test_eval_type_error_exit_code():
     code, out, err = run_cli("eval", "-e", "catch a. \\x:1. x")
     assert code == 2

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+from lcatch import metatheory
 from lcatch.metatheory import (
     GenConfig, PROPERTIES, PropertyReport, _gen_untyped, gen_term, minimize,
     reduction_graph_status, run_property,
 )
-from lcatch.reduction import OutcomeKind, Rule, enumerate_redexes, evaluate
+from lcatch.reduction import Outcome, OutcomeKind, Rule, enumerate_redexes, evaluate
 from lcatch.surface import parse_term, print_term
 from lcatch.syntax import Catch, UNIT, UNIT_TYPE, alpha_eq, size
 from lcatch.typecheck import TypingEnv, infer
@@ -196,3 +197,81 @@ def test_confluence_checks_leave_no_cyclic_garbage():
     finally:
         gc.enable()
     assert leaked == 0
+
+
+# ------------- property reports under planted mutants -------------
+#
+# Each mutant replaces one name that the property checks reach through
+# `lcatch.metatheory`; every property then runs 6 cases at seed 40.  The
+# pinned reports cover the generators, the checks, which failures get
+# shrunk (and to what), and the inconclusive count of strong normalization.
+
+_CONFLUENCE = ("Diamond", "RedSubsetPred", "PredSubsetRedd", "TakahashiMpred")
+
+_MUTANTS = {
+    "step_cbv": ("step_cbv", lambda t: None),
+    "derivable": ("derivable", lambda env, t, ty: False),
+    "complete_development": ("complete_development", lambda t: t),
+    "reachable_by_reduction": ("reachable_by_reduction", lambda t, u: False),
+    "parallel_reducts": ("parallel_reducts", lambda t, budget: [t]),
+    "graph_cyclic": ("reduction_graph_status", lambda t, cap=0: "cyclic"),
+    "graph_overflow": ("reduction_graph_status", lambda t, cap=0: "overflow"),
+    "evaluate": ("evaluate", lambda t, fuel=0, keep_trace=False:
+                 Outcome(OutcomeKind.OUT_OF_FUEL, t, 0)),
+}
+
+_SHRUNK_CONFLUENCE = ("FAIL seed=40 term=throw a throw b ()",
+                      "FAIL seed=42 term=catch c. []",
+                      "FAIL seed=43 term=catch c. y")
+_TYPED_DRAWS = (
+    "FAIL seed=40 term=lrec (catch a. catch b. ()) (\\x: 1. \\y: [1]. \\z: 1. ()) "
+    "(catch a. catch b. [])",
+    "FAIL seed=41 term=catch a. throw a (\\v: [1]. \\x: [1]. ()) [] "
+    "((\\w: [1]. \\x: 1. []) [] ())",
+    "FAIL seed=42 term=[catch a. throw a catch b. (), ()]",
+    "FAIL seed=43 term=(\\y: 1. (\\v: 1. y) ()) (lrec () (\\x: [1]. \\y: [[1]]. \\z: 1. ()) [])",
+    "FAIL seed=44 term=(\\y: [1]. catch a. catch b. ()) ((\\z: [1]. []) [])",
+    "FAIL seed=45 term=(\\x: 1. ()) (catch a. throw a catch b. ())",
+)
+
+# (mutant, property) -> (FAIL lines, inconclusive); every other pair
+# passes all 6 cases with nothing inconclusive.
+_MUTANT_REPORTS = {
+    ("step_cbv", "Progress"): ((
+        "FAIL seed=40 term=lrec (catch b. ()) (\\x: 1. \\y: [1]. \\z: 1. ())",
+        "FAIL seed=41 term=catch a. ()",
+        "FAIL seed=42 term=catch a. ()",
+        "FAIL seed=43 term=(\\y: [[1]]. ()) []",
+        "FAIL seed=44 term=(\\y: [1]. ()) []",
+        "FAIL seed=45 term=catch a. ()"), 0),
+    ("derivable", "SubjectReduction"): ((
+        "FAIL seed=40 term=lrec (catch b. ()) (\\x: 1. \\y: [1]. \\z: 1. ())",
+        "FAIL seed=41 term=catch a. ()",
+        "FAIL seed=42 term=catch a. ()",
+        "FAIL seed=43 term=\\y: 1. (\\v: 1. y) ()",
+        "FAIL seed=44 term=catch b. ()",
+        "FAIL seed=45 term=catch a. ()"), 0),
+    ("complete_development", "Diamond"): (_SHRUNK_CONFLUENCE, 0),
+    ("complete_development", "TakahashiMpred"): (_SHRUNK_CONFLUENCE, 0),
+    ("reachable_by_reduction", "PredSubsetRedd"): (
+        tuple(f"FAIL seed={s} term=()" for s in range(40, 46)), 0),
+    ("parallel_reducts", "RedSubsetPred"): (_SHRUNK_CONFLUENCE, 0),
+    ("graph_cyclic", "StrongNormalization"): (_TYPED_DRAWS[2:3] + _TYPED_DRAWS[4:], 0),
+    ("graph_overflow", "StrongNormalization"): ((), 3),
+    ("evaluate", "StrongNormalization"): (_TYPED_DRAWS[:2] + _TYPED_DRAWS[3:4], 0),
+    ("evaluate", "ValueShapes"): (_TYPED_DRAWS, 0),
+    ("evaluate", "FcvClosed"): (_TYPED_DRAWS, 0),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+def test_property_reports_under_planted_mutant(monkeypatch, mutant):
+    name, replacement = _MUTANTS[mutant]
+    monkeypatch.setattr(metatheory, name, replacement)
+    for prop in PROPERTIES:
+        max_size = 12 if prop in _CONFLUENCE else 16
+        report = run_property(prop, 6, GenConfig(seed=40, max_size=max_size))
+        fails, inconclusive = _MUTANT_REPORTS.get((mutant, prop), ((), 0))
+        header = f"PROP {prop} CASES 6 FAILURES {len(fails)}"
+        assert report.render() == "\n".join((header, *fails)), (mutant, prop)
+        assert report.inconclusive == inconclusive, (mutant, prop)

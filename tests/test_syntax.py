@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from dataclasses import dataclass
@@ -307,6 +308,69 @@ def test_subst_free_var_monotonicity():
         after = free_vars(subst(t, "x", r))
         assert after.term_vars <= (before.term_vars - {"x"}) | repl.term_vars
         assert after.cont_vars <= before.cont_vars | repl.cont_vars
+
+
+
+def test_subst_renaming_a_catch_does_not_capture_a_throw():
+    # the outer catch is freshened to a1, so its throw must not be captured
+    # by the inner catch that already binds a1
+    out = subst(p("catch a. catch a1. (\\z. z) (throw a x)"), "x", p("throw a ()"))
+    assert alpha_eq(out, p("catch a1. catch a2. (\\z. z) (throw a1 throw a ())"))
+
+
+def test_rename_cont_var_freshens_a_catch_that_binds_the_new_name():
+    t = p("\\x. catch b. throw a throw b x")
+    assert alpha_eq(rename_cont_var(t, "a", "b"), p("\\x. catch c. throw b throw c x"))
+    assert rename_cont_var(t, "c", "d") is t
+
+
+_SUFFIXED = ("a", "a1", "a2", "b")
+
+
+def _suffixed_catch_term(rng, depth):
+    """A term whose catches bind names that freshening also picks."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        return Var(rng.choice(("x", "y")))
+    if roll < 0.35:
+        return Lam(rng.choice(("x", "y")), None, _suffixed_catch_term(rng, depth - 1))
+    if roll < 0.5:
+        return App(_suffixed_catch_term(rng, depth - 1), _suffixed_catch_term(rng, depth - 1))
+    if roll < 0.75:
+        return Catch(rng.choice(_SUFFIXED), _suffixed_catch_term(rng, depth - 1))
+    return Throw(rng.choice(_SUFFIXED), _suffixed_catch_term(rng, depth - 1))
+
+
+def _binders_apart(t, terms, conts, counter):
+    """`t` with every binder renamed to a name bound or free nowhere else."""
+    match t:
+        case Var(name):
+            return Var(terms.get(name, name))
+        case Lam(param, annot, body):
+            new = f"v{next(counter)}"
+            return Lam(new, annot, _binders_apart(body, {**terms, param: new}, conts, counter))
+        case Catch(cont, body):
+            new = f"k{next(counter)}"
+            return Catch(new, _binders_apart(body, terms, {**conts, cont: new}, counter))
+        case Throw(cont, payload):
+            return Throw(conts.get(cont, cont), _binders_apart(payload, terms, conts, counter))
+        case App(fun, arg):
+            return App(_binders_apart(fun, terms, conts, counter),
+                       _binders_apart(arg, terms, conts, counter))
+    return t
+
+
+def test_subst_agrees_with_subst_into_binders_kept_apart():
+    # with every binder of t renamed apart, subst never freshens, so the
+    # result is the capture-free one
+    rng = random.Random(29)
+    replacements = [p("throw a ()"), p("throw a1 y"), p("\\y. throw b (throw a y)")]
+    for _ in range(2000):
+        t = _suffixed_catch_term(rng, 6)
+        apart = _binders_apart(t, {}, {}, itertools.count())
+        assert alpha_eq(t, apart)
+        for r in replacements:
+            assert alpha_eq(subst(t, "x", r), subst(apart, "x", r))
 
 
 # ------------- alpha equivalence -------------
