@@ -6,12 +6,14 @@ type: nil, cons, lrec and each unannotated binder get fresh
 metavariables, catch extends the continuation environment, and throw
 checks its payload against the bound continuation type and itself takes
 any type.  On the way it lists the binder side conditions in preorder
-(lambda domain, catch binder, throw payload; a throw reserves its entry
-before visiting the payload), so the first violation reported is the
+(lambda domain, catch binder), so the first violation reported is the
 outermost, leftmost one.  The solver is union-find over metavariables
 with path compression.  After solving, each side condition is zonked
 and checked once: its type must be solved, never defaulted, and a catch
-binder or throw payload must be arrow-free.
+binder must be arrow-free.  A throw payload needs no condition of its
+own: its type is its continuation's, which is a catch binder's, checked
+earlier in preorder, or a TypingEnv delta entry, ground and arrow-free
+by construction.
 
 Closed-term memo.  When `infer` succeeds in the empty environment, it
 stores on the term's node its solved type and the number of
@@ -222,7 +224,6 @@ class _Solver:
 _RESULT = ("result type", None, None)
 _LAM = ("binder type", None, None)
 _CATCH = ("catch binder type", ErrorKind.NON_ARROW_FREE_CATCH, "catch bound at")
-_THROW = ("throw payload type", ErrorKind.NON_ARROW_FREE_THROW, "throw payload at")
 
 
 def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
@@ -270,10 +271,7 @@ def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
         if t.cont not in delta:
             raise TypingError(ErrorKind.UNBOUND_CONT_VAR,
                               f"unbound continuation variable {t.cont!r}", path=_path(where))
-        slot = len(conds)
-        conds.append(None)
         inner = _constrain(solver, t.payload, gamma, delta, (where, 0), conds)
-        conds[slot] = (_THROW, inner, where)
         solver.unify(delta[t.cont], inner, where)
         ty = solver.fresh()
     else:

@@ -197,6 +197,17 @@ def test_check_accepts_a_900_deep_nest_used_by_main(tmp_path, binder, type_text)
     assert done.stdout == f"deep : {type_text}\nmain : {type_text}\n"
 
 
+def test_eval_reaches_the_depth_the_prelude_benchmark_uses():
+    # in a fresh interpreter: eval-prelude's deep slice runs pred on 700 to
+    # 750, so a walker that took more frames per level would end this in
+    # exit 6 before the benchmark's known-defect share moved
+    env = {**os.environ, "PYTHONPATH": str(Path(lcatch.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "lcatch.cli", "eval", "-e", "pred #950",
+                           "--count"], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "#949\nsteps: 9\n"
+
+
 def test_redexes_on_a_deep_catch_nest():
     # the lister plugs each contractum into its frames without recursing,
     # so it reaches about as deep as `eval`
@@ -254,6 +265,18 @@ def test_redexes_lines():
     assert len(lines) == 2
     assert lines[0].startswith("[beta_v] @ /0/0 -> ")
     assert lines[1].startswith("[catch_1] @ / -> ")
+
+
+@pytest.mark.parametrize("expr, line", [
+    ("\\y. (\\x. \\y. x) y", "[beta_v] @ /0 -> \\y. \\y1. y"),
+    ("(\\x. \\y. x) y", "[beta_v] @ / -> \\y1. y"),
+    ("catch b. (\\x. catch b. x) (\\u. throw b u)",
+     "[beta_v] @ /0 -> catch b. catch b1. \\u. throw b u"),
+], ids=["bound-y", "free-y", "catch"])
+def test_redexes_freshen_a_binder_only_where_it_would_capture(expr, line):
+    # the argument's y (or b) lands under a binder named y (or b)
+    code, out, _ = run_cli("redexes", "--no-prelude", "-e", expr)
+    assert code == 0 and line in out.splitlines()
 
 
 def test_redexes_none_for_normal_form():

@@ -1,9 +1,12 @@
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import lcatch.reduction as reduction
+from lcatch.confluence import complete_development
 from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
 from lcatch.prelude import encode_nat, prelude_defs
 from lcatch.reduction import (
@@ -160,6 +163,29 @@ def test_contract_matches_oracle_on_fixed_terms():
         for sub in _all_subterms(t):
             want = matching_rules(sub)
             assert contract(sub) == (want[0] if want else None)
+
+
+# ------------- pinned reducts -------------
+
+
+def test_reducts_match_the_pinned_ones():
+    # `pinned_reducts.json` holds, for the untyped terms of seeds 0-199 at
+    # size 12, each redex event (rule, path, printed result) and the printed
+    # complete development, as written at commit a958849 by the implementation
+    # with named binders and capture-avoiding renaming.  A change of the term
+    # representation is checked against it without sharing any oracle code;
+    # terms are compared up to alpha by parsing the text.
+    cases = json.loads((Path(__file__).parent / "pinned_reducts.json").read_text())
+    assert len(cases) == 200
+    for case in cases:
+        t = gen_term(GenConfig(seed=case["seed"], max_size=12, typed=False))
+        assert alpha_eq(t, p(case["term"]))
+        events = enumerate_redexes(t)
+        assert [(e.rule.value, list(e.path)) for e in events] == \
+            [(rule, path) for rule, path, _ in case["redexes"]]
+        for event, (_, _, result) in zip(events, case["redexes"]):
+            assert alpha_eq(event.result, p(result)), result
+        assert alpha_eq(complete_development(t), p(case["development"]))
 
 
 # ------------- enumerate_redexes -------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -5,14 +6,16 @@ from typing import Optional
 
 import pytest
 
+from lcatch.confluence import complete_development
 from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
+from lcatch.reduction import enumerate_redexes
 from lcatch.surface import (
     ParseError, SourceProgram, expand_defs, expand_term, parse_program,
     parse_term, print_term, print_type,
 )
 from lcatch.syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, Nil, Term, Throw,
-    Type, UNIT, UNIT_TYPE, UnitVal, Var, alpha_eq, cons,
+    Type, UNIT, UNIT_TYPE, UnitVal, Var, alpha_eq, canonical, cons,
 )
 
 p = parse_term
@@ -178,6 +181,58 @@ def test_round_trip_typed_terms():
     for seed in range(300):
         t = gen_term(GenConfig(seed=seed, max_size=18, typed=True))
         assert alpha_eq(parse_term(print_term(t)), t)
+
+
+def _round_trip_groups():
+    """Typed and untyped generated terms of three sizes, each with its
+    one-step reducts and its complete development."""
+    for seed in range(300):
+        for max_size in (8, 14, 20):
+            for typed in (True, False):
+                t = gen_term(GenConfig(seed=seed, max_size=max_size, typed=typed))
+                yield [t, complete_development(t)] + [e.result for e in enumerate_redexes(t)]
+
+
+def test_printing_then_parsing_is_the_identity():
+    # reducts carry the names substitution freshened; the text must still
+    # parse back to the same term, names included
+    checked = 0
+    for group in _round_trip_groups():
+        for u in group:
+            for sugar in (False, True):
+                assert parse_term(print_term(u, sugar=sugar)) == u, print_term(u)
+            checked += 1
+    assert checked > 3000
+
+
+def _renamed(t, terms, conts, counter):
+    """`t` with every binder renamed to a name used nowhere else."""
+    match t:
+        case Var(name):
+            return Var(terms.get(name, name))
+        case Lam(param, annot, body):
+            new = f"v{next(counter)}"
+            return Lam(new, annot, _renamed(body, {**terms, param: new}, conts, counter))
+        case Catch(cont, body):
+            new = f"k{next(counter)}"
+            return Catch(new, _renamed(body, terms, {**conts, cont: new}, counter))
+        case Throw(cont, payload):
+            return Throw(conts.get(cont, cont), _renamed(payload, terms, conts, counter))
+        case App(fun, arg):
+            return App(_renamed(fun, terms, conts, counter), _renamed(arg, terms, conts, counter))
+    return t
+
+
+def test_alpha_variants_parsed_from_renamed_text_are_one_class():
+    # the text of a term with its binders renamed parses to an alpha-variant
+    # whose canonical form is the same term, with the same hash
+    for group in _round_trip_groups():
+        for u in group:
+            text = print_term(_renamed(u, {}, {}, itertools.count()))
+            variant = parse_term(text)
+            assert alpha_eq(variant, u), text
+            assert canonical(variant) == canonical(u)
+            assert hash(canonical(variant)) == hash(canonical(u))
 
 
 # ------------- the character-loop lexer, token-object parser and printer as oracles -------------

@@ -199,6 +199,17 @@ def test_first_error_is_outermost_leftmost_side_condition():
         "NonArrowFreeCatch at /0/0: catch bound at non-arrow-free type 1 -> 1"
 
 
+def test_a_throw_of_an_arrow_fails_at_its_catch():
+    # a payload's type is its continuation's, so the catch's own arrow-free
+    # condition, earlier in preorder, rejects it; throws have no condition
+    t = p("catch a. throw a (\\x: 1. x)")
+    with pytest.raises(TypingError) as info:
+        infer(EMPTY, t)
+    assert info.value.render() == \
+        "NonArrowFreeCatch at /: catch bound at non-arrow-free type 1 -> 1"
+    assert not derivable(EMPTY, t, ArrowType(UNIT_TYPE, UNIT_TYPE))
+
+
 def test_lambda_domain_checked_before_its_body():
     with pytest.raises(TypingError) as info:
         infer(EMPTY, p("(\\x. ()) (catch a. throw a [])"))
