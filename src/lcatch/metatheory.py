@@ -81,15 +81,13 @@ def _random_type(rng: random.Random, depth: int = 2, arrows: bool = True) -> Typ
                      _random_type(rng, depth - 1, arrows))
 
 
-def _canonical_inhabitant(rng: random.Random, ty: Type,
-                          gamma: dict[str, Type], depth: int = 0) -> Term:
+def _canonical_inhabitant(ty: Type, depth: int = 0) -> Term:
     match ty:
         case ListType(_):
             return Nil()
         case ArrowType(dom, cod):
             param = _TERM_POOL[depth % len(_TERM_POOL)]
-            return Lam(param, dom,
-                       _canonical_inhabitant(rng, cod, gamma, depth + 1))
+            return Lam(param, dom, _canonical_inhabitant(cod, depth + 1))
     return UNIT
 
 
@@ -100,14 +98,14 @@ def _gen_typed(rng: random.Random, ty: Type, gamma: dict[str, Type],
         candidates = [x for x, t in gamma.items() if t == ty]
         if candidates and rng.random() < 0.6:
             return Var(rng.choice(sorted(candidates)))
-        return _canonical_inhabitant(rng, ty, gamma)
+        return _canonical_inhabitant(ty)
 
     options: list[tuple[float, Callable[[], Term]]] = []
 
     var_candidates = sorted(x for x, t in gamma.items() if t == ty)
     if var_candidates:
         options.append((1.5, lambda: Var(rng.choice(var_candidates))))
-    options.append((1.0, lambda: _canonical_inhabitant(rng, ty, gamma)))
+    options.append((1.0, lambda: _canonical_inhabitant(ty)))
 
     if delta and budget >= 3:
         def make_throw() -> Term:
@@ -232,7 +230,7 @@ def _gen_with_rng(rng: random.Random, cfg: GenConfig) -> Term:
             continue
     # A bare inhabitant such as `[]` leaves its element type open, so the
     # identity at the target pins the type for inference.
-    return App(Lam("x", target, Var("x")), _canonical_inhabitant(rng, target, {}))
+    return App(Lam("x", target, Var("x")), _canonical_inhabitant(target))
 
 
 def gen_term(cfg: GenConfig) -> Term:

@@ -75,7 +75,7 @@ class Term:
     assigning or deleting any attribute raises AttributeError.
     """
 
-    __slots__ = ("_free_vars", "_nesting", "_canonical", "_hash", "_type")
+    __slots__ = ("_free_vars", "_canonical", "_hash", "_type")
     __match_args__: tuple[str, ...] = ()
     # Variables, constants and lambdas are values; Catch and Throw are
     # not, and App decides when it is built.
@@ -121,7 +121,6 @@ class Term:
 
 def _clear_memos(t: Term) -> None:
     _set_free_vars(t, None)
-    _set_nesting(t, None)
     _set_canonical(t, None)
     _set_hash(t, None)
     _set_type(t, None)
@@ -129,7 +128,6 @@ def _clear_memos(t: Term) -> None:
 
 # Fields and memos are written once, through their slot descriptors.
 _set_free_vars = Term._free_vars.__set__
-_set_nesting = Term._nesting.__set__
 _set_canonical = Term._canonical.__set__
 _set_hash = Term._hash.__set__
 _set_type = Term._type.__set__
@@ -298,20 +296,20 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 # evaluation and the confluence checks revisit the same nodes many times.
 # Every node declares one slot per memo and sets it to None when it is
 # built; None means "not computed yet", and the first call computes the
-# memo and writes it once through the slot's descriptor:
+# memo and writes it once through the slot's descriptor.  The four memos:
 #   _free_vars  free_vars
-#   _nesting    _nesting: the most lambdas and catches nested on one path
-#   _canonical  canonical: the canonical form, or _OWN_FORM
+#   _canonical  _canon: (canonical form, or None if the node is its own;
+#               the most lambdas, and the most catches, on one path)
 #   _hash       hash: the structural hash
 #   _type       typecheck.infer: (type, metavariables its walk allocated)
 #               of a term inferred closed; see typecheck's docstring
 # Whether a node is a value needs no memo: `value` is a class constant,
 # except on App, which computes it from its children when it is built.
 # No memo may refer to the node that holds it, directly or through the
-# terms it holds, so a node that is its own canonical form is marked with
-# _OWN_FORM instead of pointing at itself.  A dropped term and everything
-# its memos hold are then freed by reference counting, without waiting
-# for the cyclic collector.
+# terms it holds, which is why a node that is its own canonical form
+# stores None there.  A dropped term and everything its memos hold are
+# then freed by reference counting, without waiting for the cyclic
+# collector.
 
 
 def is_value(t: Term) -> bool:
@@ -400,67 +398,46 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return f"{stem}{n}"
 
 
+def subst(t: Term, x: str, r: Term) -> Term:
+    """Capture-avoiding substitution of `r` for the term variable `x` in `t`."""
+    return _subst(t, x, r, free_vars(r))
+
+
 def rename_term_var(t: Term, old: str, new: str) -> Term:
     return subst(t, old, Var(new))
 
 
 def rename_cont_var(t: Term, old: str, new: str) -> Term:
-    """Replace the free continuation variable `old` by `new`, which must not
-    be free in `t`.  A catch that binds `new` is freshened first, so no
-    renamed throw is captured; a subtree without a free `old` is returned
-    as it is."""
-    if old not in free_vars(t).cont_vars:
-        return t
-    match t:
-        case Lam(param, annot, body):
-            return Lam(param, annot, rename_cont_var(body, old, new))
-        case App(fun, arg):
-            return App(rename_cont_var(fun, old, new), rename_cont_var(arg, old, new))
-        case Catch(cont, body):
-            if cont == new:
-                cont = fresh_name(cont, free_vars(body).cont_vars | {new})
-                body = rename_cont_var(body, new, cont)
-            return Catch(cont, rename_cont_var(body, old, new))
-        case Throw(cont, payload):
-            return Throw(new if cont == old else cont, rename_cont_var(payload, old, new))
-    raise ValueError(f"not a term: {t!r}")
+    """Replace the free continuation variable `old` by `new`."""
+    return _subst(t, old, new, VarSets(frozenset(), frozenset((new,))))
 
 
-def subst(t: Term, x: str, r: Term) -> Term:
-    """Capture-avoiding substitution of `r` for the term variable `x` in `t`.
-
-    Both lambda and catch binders are freshened when they would capture a
-    free (term or continuation) variable of `r`.
+def _subst(u: Term, x: str, r: Term | str, r_free: VarSets) -> Term:
+    """Replace the free `x` in `u`: a Term `r` replaces a term variable and
+    a str `r` renames a continuation variable; `r_free` is what `r` holds
+    free.  A lambda or catch binder that would capture a name of `r_free`
+    is freshened first; a subtree without a free `x` is returned as it is.
     """
-    return _subst(t, x, r, free_vars(r))
-
-
-def _subst(u: Term, x: str, r: Term, r_free: VarSets) -> Term:
-    if x not in free_vars(u).term_vars:
+    renaming = type(r) is str
+    if x not in (free_vars(u).cont_vars if renaming else free_vars(u).term_vars):
         return u
     match u:
-        case Var(name):
-            return r if name == x else u
+        case Var():
+            return r
         case Lam(param, annot, body):
-            if param == x:
-                return u
             if param in r_free.term_vars:
-                avoid = r_free.term_vars | free_vars(body).term_vars | {x}
-                param2 = fresh_name(param, avoid)
-                body = rename_term_var(body, param, param2)
-                param = param2
+                param = fresh_name(param, r_free.term_vars | free_vars(body).term_vars)
+                body = rename_term_var(body, u.param, param)
             return Lam(param, annot, _subst(body, x, r, r_free))
         case App(fun, arg):
             return App(_subst(fun, x, r, r_free), _subst(arg, x, r, r_free))
         case Catch(cont, body):
             if cont in r_free.cont_vars:
-                avoid = r_free.cont_vars | free_vars(body).cont_vars
-                cont2 = fresh_name(cont, avoid)
-                body = rename_cont_var(body, cont, cont2)
-                cont = cont2
+                cont = fresh_name(cont, r_free.cont_vars | free_vars(body).cont_vars)
+                body = rename_cont_var(body, u.cont, cont)
             return Catch(cont, _subst(body, x, r, r_free))
         case Throw(cont, payload):
-            return Throw(cont, _subst(payload, x, r, r_free))
+            return Throw(r if renaming and cont == x else cont, _subst(payload, x, r, r_free))
     raise ValueError(f"not a term: {u!r}")
 
 
@@ -507,33 +484,6 @@ def _alpha_eq(a, b, env1, env2, cenv1, cenv2, depth) -> bool:
             return cls in (UnitVal, Nil, ConsC, LrecC)
 
 
-def _nesting(t: Term) -> tuple[int, int]:
-    """The most lambdas, and the most catches, nested on one path of `t`."""
-    out = t._nesting
-    if out is not None:
-        return out
-    cls = type(t)
-    if cls is App:
-        (fun_lams, fun_catches), (arg_lams, arg_catches) = _nesting(t.fun), _nesting(t.arg)
-        out = (max(fun_lams, arg_lams), max(fun_catches, arg_catches))
-    elif cls is Lam:
-        lams, catches = _nesting(t.body)
-        out = (lams + 1, catches)
-    elif cls is Catch:
-        lams, catches = _nesting(t.body)
-        out = (lams, catches + 1)
-    elif cls is Throw:
-        out = _nesting(t.payload)
-    else:
-        return (0, 0)
-    _set_nesting(t, out)
-    return out
-
-
-# Stored as the _canonical memo of a node that is its own canonical form.
-_OWN_FORM = True
-
-
 def _escape(name: str) -> str:
     """A free name in a form: one more `!` if it starts with `!`, so that
     no free name looks like a form's binder name."""
@@ -554,36 +504,47 @@ def canonical(t: Term) -> Term:
     are memoized per node.  Used as a dictionary key for deduplication;
     not part of the public term representation.
     """
-    form = t._canonical
-    if form is not None:
-        return t if form is _OWN_FORM else form
+    form = _canon(t)[0]
+    return t if form is None else form
+
+
+def _canon(t: Term) -> tuple[Optional[Term], int, int]:
+    """The canonical form of `t`, or None if `t` is its own; then the most
+    lambdas, and the most catches, nested on one path of `t`."""
+    out = t._canonical
+    if out is not None:
+        return out
     cls = type(t)
     if cls is App:
-        fun, arg = canonical(t.fun), canonical(t.arg)
-        form = t if fun is t.fun and arg is t.arg else App(fun, arg)
+        fun, fun_lams, fun_catches = _canon(t.fun)
+        arg, arg_lams, arg_catches = _canon(t.arg)
+        form = None if fun is None and arg is None else App(fun or t.fun, arg or t.arg)
+        out = (form, max(fun_lams, arg_lams), max(fun_catches, arg_catches))
     elif cls is Throw:
-        cont, payload = _escape(t.cont), canonical(t.payload)
-        form = t if cont == t.cont and payload is t.payload else Throw(cont, payload)
+        cont, (payload, lams, catches) = _escape(t.cont), _canon(t.payload)
+        form = None if cont == t.cont and payload is None else Throw(cont, payload or t.payload)
+        out = (form, lams, catches)
     elif cls is Lam:
-        name = f"!x{_nesting(t)[0]}"
-        body = canonical(t.body)
+        body, lams, catches = _canon(t.body)
+        lams += 1
+        name, body = f"!x{lams}", body or t.body
         if t.param in free_vars(t.body).term_vars:
             body = rename_term_var(body, _escape(t.param), name)
-        form = (t if name == t.param and body is t.body
-                else Lam(name, t.annot, body))
+        form = None if name == t.param and body is t.body else Lam(name, t.annot, body)
+        out = (form, lams, catches)
     elif cls is Catch:
-        name = f"!k{_nesting(t)[1]}"
-        body = canonical(t.body)
+        body, lams, catches = _canon(t.body)
+        catches += 1
+        name, body = f"!k{catches}", body or t.body
         if t.cont in free_vars(t.body).cont_vars:
             body = rename_cont_var(body, _escape(t.cont), name)
-        form = t if name == t.cont and body is t.body else Catch(name, body)
-    elif cls is Var:
-        if t.name[:1] != "!":
-            return t
-        form = Var(_escape(t.name))
-    elif cls in (UnitVal, Nil, ConsC, LrecC):
-        return t
+        form = None if name == t.cont and body is t.body else Catch(name, body)
+        out = (form, lams, catches)
+    elif cls is Var and t.name[:1] == "!":
+        out = (Var(_escape(t.name)), 0, 0)
+    elif cls in (Var, UnitVal, Nil, ConsC, LrecC):
+        return (None, 0, 0)
     else:
         raise ValueError(f"not a term: {t!r}")
-    _set_canonical(t, _OWN_FORM if form is t else form)
-    return form
+    _set_canonical(t, out)
+    return out

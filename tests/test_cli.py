@@ -52,6 +52,19 @@ def test_eval_throw_is_not_captured_by_a_renamed_catch():
         code, out, _ = run_cli("eval", "--count", "-e", text)
         assert code == 0
         assert out.splitlines() == ["#7", "steps: 8"]
+    # step 1 holds both freshenings: the middle catch, then the inner one
+    assert run_cli("eval", "--trace", "-e", expr) == (0, (
+        "step 1: [beta_v] catch a. catch a1. cons () (catch a2. cons () "
+        "((\\w: 1. throw a #5) (throw a1 #7)))\n"
+        "step 2: [throw] catch a. catch a1. cons () (catch a2. cons () (throw a1 #7))\n"
+        "step 3: [throw] catch a. catch a1. cons () (catch a2. throw a1 #7)\n"
+        "step 4: [catch_2] catch a. catch a1. cons () (throw a1 #7)\n"
+        "step 5: [throw] catch a. catch a1. throw a1 #7\n"
+        "step 6: [catch_1] catch a. catch a1. #7\n"
+        "step 7: [catch_3] catch a. #7\n"
+        "step 8: [catch_3] #7\n"
+        "#7\n"), "")
+
 
 def test_eval_type_error_exit_code():
     code, out, err = run_cli("eval", "-e", "catch a. \\x:1. x")
@@ -232,6 +245,12 @@ def test_numerals_too_large_to_build_are_parse_errors(digits):
     # for converting a string, and 19 already needs 10**18 cons cells
     expr = "pred\n  #" + "1" * digits
     assert run_cli("eval", "-e", expr) == (1, "", "parse error: 2:3: numeral too large\n")
+
+
+def test_numerals_are_capped_by_value():
+    # refused before a single cons cell is built; at the cap itself the
+    # parser would spend seconds and 200 MB on cells that no command can use
+    assert run_cli("eval", "-e", "pred #1000001") == (1, "", "parse error: 1:6: numeral too large\n")
 
 
 def test_leading_zeros_do_not_count_toward_the_numeral_limit():

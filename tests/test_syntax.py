@@ -7,13 +7,14 @@ from typing import Optional
 
 import pytest
 
+from lcatch import syntax
 from lcatch.confluence import complete_development
 from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
 from lcatch.reduction import enumerate_redexes
 from lcatch.surface import parse_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, Type, UNIT, UnitVal, Var, VarSets,
-    alpha_eq, canonical, children, cons, fcv, free_vars, fv, is_value, lrec,
+    alpha_eq, canonical, children, cons, fcv, free_vars, fresh_name, fv, is_value, lrec,
     rename_cont_var, rename_term_var, size, subst,
 )
 
@@ -371,6 +372,128 @@ def test_subst_agrees_with_subst_into_binders_kept_apart():
         assert alpha_eq(t, apart)
         for r in replacements:
             assert alpha_eq(subst(t, "x", r), subst(apart, "x", r))
+
+
+# ------------- substitution against the two-walker oracle -------------
+# Substitution and continuation renaming as two walkers, each with its own
+# freshening: the code one walker for both namespaces replaced.  Results
+# are compared with the name-sensitive `==`, so every fresh name is pinned.
+
+
+def oracle_rename_cont_var(t, old, new):
+    if old not in free_vars(t).cont_vars:
+        return t
+    match t:
+        case Lam(param, annot, body):
+            return Lam(param, annot, oracle_rename_cont_var(body, old, new))
+        case App(fun, arg):
+            return App(oracle_rename_cont_var(fun, old, new), oracle_rename_cont_var(arg, old, new))
+        case Catch(cont, body):
+            if cont == new:
+                cont = fresh_name(cont, free_vars(body).cont_vars | {new})
+                body = oracle_rename_cont_var(body, new, cont)
+            return Catch(cont, oracle_rename_cont_var(body, old, new))
+        case Throw(cont, payload):
+            return Throw(new if cont == old else cont, oracle_rename_cont_var(payload, old, new))
+    raise ValueError(f"not a term: {t!r}")
+
+
+def oracle_subst(u, x, r):
+    r_free = free_vars(r)
+    if x not in free_vars(u).term_vars:
+        return u
+    match u:
+        case Var(name):
+            return r if name == x else u
+        case Lam(param, annot, body):
+            if param == x:
+                return u
+            if param in r_free.term_vars:
+                avoid = r_free.term_vars | free_vars(body).term_vars | {x}
+                param2 = fresh_name(param, avoid)
+                body = oracle_subst(body, param, Var(param2))
+                param = param2
+            return Lam(param, annot, oracle_subst(body, x, r))
+        case App(fun, arg):
+            return App(oracle_subst(fun, x, r), oracle_subst(arg, x, r))
+        case Catch(cont, body):
+            if cont in r_free.cont_vars:
+                avoid = r_free.cont_vars | free_vars(body).cont_vars
+                cont2 = fresh_name(cont, avoid)
+                body = oracle_rename_cont_var(body, cont, cont2)
+                cont = cont2
+            return Catch(cont, oracle_subst(body, x, r))
+        case Throw(cont, payload):
+            return Throw(cont, oracle_subst(payload, x, r))
+    raise ValueError(f"not a term: {u!r}")
+
+
+_ORACLE_TERM_NAMES = ("x", "y", "z", "u", "x1", "y1")
+_ORACLE_CONT_NAMES = ("a", "b", "c", "a1", "b1")
+
+
+def _redrawn(t, rng, terms, conts):
+    """`t` with each binder and each free name drawn again from the pools
+    above, so that names freshening picks are often taken; a bound name
+    follows its binder."""
+    match t:
+        case Var(name):
+            return Var(terms.get(name) or rng.choice(_ORACLE_TERM_NAMES))
+        case Lam(param, annot, body):
+            new = rng.choice(_ORACLE_TERM_NAMES)
+            return Lam(new, annot, _redrawn(body, rng, {**terms, param: new}, conts))
+        case Catch(cont, body):
+            new = rng.choice(_ORACLE_CONT_NAMES)
+            return Catch(new, _redrawn(body, rng, terms, {**conts, cont: new}))
+        case Throw(cont, payload):
+            return Throw(conts.get(cont) or rng.choice(_ORACLE_CONT_NAMES),
+                         _redrawn(payload, rng, terms, conts))
+        case App(fun, arg):
+            return App(_redrawn(fun, rng, terms, conts), _redrawn(arg, rng, terms, conts))
+    return t
+
+
+def _oracle_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = _redrawn(_gen_untyped(rng, rng.randint(4, 16), 0), rng, {}, {})
+        r = _redrawn(_gen_untyped(rng, rng.randint(1, 8), 0), rng, {}, {})
+        yield rng, t, r
+
+
+def _counting_fresh_names(monkeypatch):
+    """Record the base of every name the walker freshens."""
+    bases = []
+
+    def counting(base, avoid):
+        bases.append(base)
+        return fresh_name(base, avoid)
+
+    monkeypatch.setattr(syntax, "fresh_name", counting)
+    return bases
+
+
+def test_subst_agrees_with_the_two_walker_oracle(monkeypatch):
+    bases = _counting_fresh_names(monkeypatch)
+    for rng, t, r in _oracle_cases(41, 10000):
+        x = rng.choice(sorted(fv(t)) or _ORACLE_TERM_NAMES)
+        assert subst(t, x, r) == oracle_subst(t, x, r)
+    # both binder kinds were freshened, suffixed names included
+    assert {"x", "x1", "a", "a1"} <= set(bases)
+    assert sum(b in _ORACLE_CONT_NAMES for b in bases) > 100
+    assert sum(b in _ORACLE_TERM_NAMES for b in bases) > 100
+
+
+def test_rename_cont_var_agrees_with_the_two_walker_oracle(monkeypatch):
+    bases = _counting_fresh_names(monkeypatch)
+    for rng, t, _ in _oracle_cases(42, 10000):
+        free = sorted(fcv(t))
+        unused = [c for c in _ORACLE_CONT_NAMES if c not in free]
+        if free and unused:
+            old, new = rng.choice(free), rng.choice(unused)
+            assert rename_cont_var(t, old, new) == oracle_rename_cont_var(t, old, new)
+    # a catch that binds the new name was freshened
+    assert len(bases) > 150
 
 
 # ------------- alpha equivalence -------------
