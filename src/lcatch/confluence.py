@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 
 from .reduction import Frame, Rule, contractum, enumerate_redexes, redex
 from .syntax import (
-    App, Catch, Lam, Term, Throw, alpha_eq, canonical, size,
+    AlphaKey, App, Catch, Lam, Term, Throw, alpha_eq, canonical, size,
 )
 
 
@@ -105,8 +105,9 @@ def parallel_reducts(t: Term, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Te
     """The exact set of one-step parallel reducts of `t`, modulo alpha.
 
     Enumeration is exponential; inputs larger than `node_budget` raise
-    BudgetExceeded.  The result is deterministic, deduplicated via
-    canonical renaming, with `t` itself first (reflexivity).
+    BudgetExceeded.  The result is deterministic, deduplicated by
+    `canonical` keys (the first of each alpha class is kept), with `t`
+    itself first (reflexivity).
     """
     if size(t) > node_budget:
         raise BudgetExceeded(f"term has {size(t)} nodes, budget {node_budget}")
@@ -114,7 +115,7 @@ def parallel_reducts(t: Term, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Te
 
 
 def _dedup(terms: Iterator[Term]) -> list[Term]:
-    seen: dict[Term, Term] = {}
+    seen: dict[AlphaKey, Term] = {}
     for u in terms:
         key = canonical(u)
         if key not in seen:
@@ -156,8 +157,7 @@ def _preds(t: Term) -> list[Term]:
 def is_parallel_step(s: Term, t: Term,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """True iff `t` is a one-step parallel reduct of `s`, modulo alpha."""
-    key = canonical(t)
-    return any(canonical(u) == key for u in parallel_reducts(s, node_budget))
+    return any(alpha_eq(u, t) for u in parallel_reducts(s, node_budget))
 
 
 def join(t1: Term, t2: Term, max_rounds: int = 16) -> Optional[Term]:
@@ -190,11 +190,10 @@ def reachable_by_reduction(start: Term, target: Term) -> bool:
     reducts; the _REACH_* caps keep exploration of divergent untyped graphs
     finite and are generous for budget-sized inputs.
     """
-    target_key = canonical(target)
+    if alpha_eq(start, target):
+        return True
     frontier = [start]
     seen = {canonical(start)}
-    if canonical(start) == target_key:
-        return True
     explored = 0
     for _ in range(_REACH_MAX_DEPTH):
         next_frontier: list[Term] = []
@@ -204,9 +203,9 @@ def reachable_by_reduction(start: Term, target: Term) -> bool:
                 if explored > _REACH_MAX_EXPLORED:
                     return False
                 v = event.result
-                key = canonical(v)
-                if key == target_key:
+                if alpha_eq(v, target):
                     return True
+                key = canonical(v)
                 if key in seen or size(v) > _REACH_MAX_SIZE:
                     continue
                 seen.add(key)

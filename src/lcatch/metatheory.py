@@ -24,7 +24,7 @@ from .confluence import (
 from .reduction import OutcomeKind, enumerate_redexes, evaluate, step_cbv
 from .surface import print_term, print_type
 from .syntax import (
-    App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, Nil, Term, Throw,
+    AlphaKey, App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, Nil, Term, Throw,
     Type, UNIT, UNIT_TYPE, UnitVal, Var, canonical, children, cons, fcv,
     lrec, replace_at, size, subterm_at,
 )
@@ -289,7 +289,7 @@ def reduction_graph_status(t: Term, cap: int = GRAPH_NODE_CAP) -> str:
     """Explore the full reduction graph: 'acyclic', 'cyclic', or 'overflow'."""
     GREY, BLACK = 1, 2
     root = canonical(t)
-    colors: dict[Term, int] = {root: GREY}
+    colors: dict[AlphaKey, int] = {root: GREY}
     # each grey node's key and an iterator over its one-step reducts
     stack = [(root, (event.result for event in enumerate_redexes(t)))]
     while stack:

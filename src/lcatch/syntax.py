@@ -72,10 +72,12 @@ class Term:
     Each node holds its fields and the memo slots listed under "Per-node
     memos" below; `value` says whether the node is a value.  Nodes compare
     and hash structurally, like frozen dataclasses of their fields, and
-    assigning or deleting any attribute raises AttributeError.
+    assigning or deleting any attribute raises AttributeError.  The
+    structural hash is not memoized: dictionaries that dedupe terms up to
+    alpha key them with `canonical` instead.
     """
 
-    __slots__ = ("_free_vars", "_canonical", "_hash", "_type")
+    __slots__ = ("_free_vars", "_alpha_hash", "_type")
     __match_args__: tuple[str, ...] = ()
     # Variables, constants and lambdas are values; Catch and Throw are
     # not, and App decides when it is built.
@@ -101,11 +103,7 @@ class Term:
         return self._fields() == other._fields()
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self._fields())
-            _set_hash(self, h)
-        return h
+        return hash(self._fields())
 
     def __reduce__(self):
         # copy and pickle rebuild the node from its fields, memos cleared
@@ -121,15 +119,13 @@ class Term:
 
 def _clear_memos(t: Term) -> None:
     _set_free_vars(t, None)
-    _set_canonical(t, None)
-    _set_hash(t, None)
+    _set_alpha_hash(t, None)
     _set_type(t, None)
 
 
 # Fields and memos are written once, through their slot descriptors.
 _set_free_vars = Term._free_vars.__set__
-_set_canonical = Term._canonical.__set__
-_set_hash = Term._hash.__set__
+_set_alpha_hash = Term._alpha_hash.__set__
 _set_type = Term._type.__set__
 
 
@@ -296,20 +292,16 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 # evaluation and the confluence checks revisit the same nodes many times.
 # Every node declares one slot per memo and sets it to None when it is
 # built; None means "not computed yet", and the first call computes the
-# memo and writes it once through the slot's descriptor.  The four memos:
-#   _free_vars  free_vars
-#   _canonical  _canon: (canonical form, or None if the node is its own;
-#               the most lambdas, and the most catches, on one path)
-#   _hash       hash: the structural hash
-#   _type       typecheck.infer: (type, metavariables its walk allocated)
-#               of a term inferred closed; see typecheck's docstring
+# memo and writes it once through the slot's descriptor.  The three memos:
+#   _free_vars   free_vars
+#   _alpha_hash  _alpha_hash: a structural hash that skips every name
+#   _type        typecheck.infer: (type, metavariables its walk allocated)
+#                of a term inferred closed; see typecheck's docstring
 # Whether a node is a value needs no memo: `value` is a class constant,
 # except on App, which computes it from its children when it is built.
 # No memo may refer to the node that holds it, directly or through the
-# terms it holds, which is why a node that is its own canonical form
-# stores None there.  A dropped term and everything its memos hold are
-# then freed by reference counting, without waiting for the cyclic
-# collector.
+# terms it holds.  A dropped term and everything its memos hold are then
+# freed by reference counting, without waiting for the cyclic collector.
 
 
 def is_value(t: Term) -> bool:
@@ -484,67 +476,53 @@ def _alpha_eq(a, b, env1, env2, cenv1, cenv2, depth) -> bool:
             return cls in (UnitVal, Nil, ConsC, LrecC)
 
 
-def _escape(name: str) -> str:
-    """A free name in a form: one more `!` if it starts with `!`, so that
-    no free name looks like a form's binder name."""
-    return "!" + name if name[:1] == "!" else name
+class AlphaKey:
+    """A term as a dictionary key up to alpha-equivalence: it hashes by
+    `_alpha_hash`, which skips every name, and compares by `alpha_eq`,
+    which settles the collisions between alpha-inequal terms."""
+
+    __slots__ = ("term",)
+
+    def __init__(self, term: Term):
+        self.term = term
+
+    def __hash__(self):
+        return _alpha_hash(self.term)
+
+    def __eq__(self, other):
+        if type(other) is not AlphaKey:
+            return NotImplemented
+        return alpha_eq(self.term, other.term)
 
 
-def canonical(t: Term) -> Term:
-    """Rename binders to a fixed scheme so alpha-equal terms become equal,
-    and alpha-inequal terms stay apart.
-
-    A lambda is named `!x<h>` and a catch `!k<h>`, where h is the most
-    binders of that kind nested on one path of its term, itself included.
-    A free name that starts with `!` gets one more, so no free name is
-    ever taken for a binder's.  A binder's name depends on its subtree
-    only, and binders on one path never share one, so forms compose: an
-    App's or a Throw's form is built from its children's forms, and a
-    binder's form is its body's form with one capture-free rename.  Forms
-    are memoized per node.  Used as a dictionary key for deduplication;
-    not part of the public term representation.
-    """
-    form = _canon(t)[0]
-    return t if form is None else form
+def canonical(t: Term) -> AlphaKey:
+    """The key that `t` shares with exactly its alpha-variants, for
+    deduplication modulo alpha."""
+    return AlphaKey(t)
 
 
-def _canon(t: Term) -> tuple[Optional[Term], int, int]:
-    """The canonical form of `t`, or None if `t` is its own; then the most
-    lambdas, and the most catches, nested on one path of `t`."""
-    out = t._canonical
-    if out is not None:
-        return out
-    cls = type(t)
-    if cls is App:
-        fun, fun_lams, fun_catches = _canon(t.fun)
-        arg, arg_lams, arg_catches = _canon(t.arg)
-        form = None if fun is None and arg is None else App(fun or t.fun, arg or t.arg)
-        out = (form, max(fun_lams, arg_lams), max(fun_catches, arg_catches))
-    elif cls is Throw:
-        cont, (payload, lams, catches) = _escape(t.cont), _canon(t.payload)
-        form = None if cont == t.cont and payload is None else Throw(cont, payload or t.payload)
-        out = (form, lams, catches)
-    elif cls is Lam:
-        body, lams, catches = _canon(t.body)
-        lams += 1
-        name, body = f"!x{lams}", body or t.body
-        if t.param in free_vars(t.body).term_vars:
-            body = rename_term_var(body, _escape(t.param), name)
-        form = None if name == t.param and body is t.body else Lam(name, t.annot, body)
-        out = (form, lams, catches)
-    elif cls is Catch:
-        body, lams, catches = _canon(t.body)
-        catches += 1
-        name, body = f"!k{catches}", body or t.body
-        if t.cont in free_vars(t.body).cont_vars:
-            body = rename_cont_var(body, _escape(t.cont), name)
-        form = None if name == t.cont and body is t.body else Catch(name, body)
-        out = (form, lams, catches)
-    elif cls is Var and t.name[:1] == "!":
-        out = (Var(_escape(t.name)), 0, 0)
-    elif cls in (Var, UnitVal, Nil, ConsC, LrecC):
-        return (None, 0, 0)
-    else:
-        raise ValueError(f"not a term: {t!r}")
-    _set_canonical(t, out)
-    return out
+# The alpha hash of each leaf class, and tags for the binders and Throw.
+_LEAF_HASH = {Var: 1, UnitVal: 2, Nil: 3, ConsC: 4, LrecC: 5}
+_LAM, _CATCH, _THROW = 6, 7, 8
+
+
+def _alpha_hash(t: Term) -> int:
+    """A structural hash of `t` that skips every name, bound or free, so
+    alpha-equal terms share it; memoized per node."""
+    h = t._alpha_hash
+    if h is None:
+        cls = type(t)
+        if cls is App:
+            h = hash((_alpha_hash(t.fun), _alpha_hash(t.arg)))
+        elif cls is Lam:
+            h = hash((_LAM, t.annot, _alpha_hash(t.body)))
+        elif cls is Catch:
+            h = hash((_CATCH, _alpha_hash(t.body)))
+        elif cls is Throw:
+            h = hash((_THROW, _alpha_hash(t.payload)))
+        elif cls in _LEAF_HASH:
+            h = _LEAF_HASH[cls]
+        else:
+            raise ValueError(f"not a term: {t!r}")
+        _set_alpha_hash(t, h)
+    return h

@@ -282,10 +282,12 @@ def oracle_development(t):
 
 
 def oracle_dedup(terms):
-    seen = {}
+    """The first term of each alpha class, by a pairwise alpha_eq scan."""
+    out = []
     for u in terms:
-        seen.setdefault(canonical(u), u)
-    return list(seen.values())
+        if not any(alpha_eq(u, v) for v in out):
+            out.append(u)
+    return out
 
 
 def oracle_preds(t):

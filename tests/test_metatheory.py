@@ -8,9 +8,10 @@ from lcatch.metatheory import (
     GenConfig, PROPERTIES, PropertyReport, _gen_untyped, gen_term, minimize,
     reduction_graph_status, run_property,
 )
+from lcatch.prelude import prelude_defs
 from lcatch.reduction import Outcome, OutcomeKind, Rule, enumerate_redexes, evaluate
-from lcatch.surface import parse_term, print_term
-from lcatch.syntax import Catch, UNIT, UNIT_TYPE, alpha_eq, size
+from lcatch.surface import expand_term, parse_term, print_term
+from lcatch.syntax import Catch, UNIT, UNIT_TYPE, alpha_eq, canonical, size
 from lcatch.typecheck import TypingEnv, infer
 
 p = parse_term
@@ -143,6 +144,21 @@ def test_graph_explorer_agrees_with_evaluator():
         out = evaluate(t)
         assert status == "acyclic"
         assert out.kind is not OutcomeKind.OUT_OF_FUEL
+
+
+def test_reduction_graph_of_a_prelude_program_has_fixed_counts():
+    # every redex, under binders, of a real program: the classes modulo
+    # alpha that a walk keyed by `canonical` finds, and the edges it takes
+    start = expand_term(parse_term("times #1 #1"), list(prelude_defs()))
+    seen, stack, edges = {canonical(start)}, [start], 0
+    while stack:
+        for event in enumerate_redexes(stack.pop()):
+            edges += 1
+            key = canonical(event.result)
+            if key not in seen:
+                seen.add(key)
+                stack.append(event.result)
+    assert (len(seen), edges) == (1918, 9095)
 
 
 # ------------- shrinking -------------

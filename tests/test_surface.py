@@ -225,7 +225,7 @@ def _renamed(t, terms, conts, counter):
 
 def test_alpha_variants_parsed_from_renamed_text_are_one_class():
     # the text of a term with its binders renamed parses to an alpha-variant
-    # whose canonical form is the same term, with the same hash
+    # whose canonical key is the same, with the same hash
     for group in _round_trip_groups():
         for u in group:
             text = print_term(_renamed(u, {}, {}, itertools.count()))

@@ -191,7 +191,7 @@ def test_nodes_are_immutable_and_have_no_dict():
     for group in _node_groups():
         for u in {id(u): u for t in group for u in _subterms(t)}.values():
             assert not hasattr(u, "__dict__")
-            for name in u.__match_args__ + ("value", "_free_vars", "_hash", "fresh"):
+            for name in u.__match_args__ + Term.__slots__ + ("value", "fresh"):
                 with pytest.raises(AttributeError):
                     setattr(u, name, UNIT)
                 with pytest.raises(AttributeError):
@@ -592,8 +592,8 @@ def _alpha_variant(t, rng, names=_NAMES):
 def _key_groups():
     """Groups of terms that are often alpha-equal: a generated term (typed
     or untyped), alpha-variants of it, its reducts and its development,
-    and the same built from its canonical form, whose binders start with
-    `!` and sit at other heights once reduced."""
+    and the same built from its `!`-renamed alpha-variant, whose binders
+    sit at other heights once reduced."""
     rng = random.Random(17)
     for seed in range(300):
         if seed % 2:
@@ -601,7 +601,7 @@ def _key_groups():
         else:
             t = _gen_untyped(rng, 12, 0)
         group = [t, _alpha_variant(t, rng), _alpha_variant(t, rng)]
-        for base in (t, canonical(t), oracle_canonical(t)):
+        for base in (t, oracle_canonical(t)):
             group += [event.result for event in enumerate_redexes(base)]
             group.append(complete_development(base))
         yield group
@@ -619,16 +619,18 @@ def test_canonical_keys_agree_with_the_oracle():
 
 
 def test_canonical_is_idempotent():
+    # a term and its `!`-renamed alpha-variant share one key and its hash
     for group in _key_groups():
         for t in group:
-            form = canonical(t)
-            assert canonical(form) == form
-            assert alpha_eq(form, t)
+            variant = oracle_canonical(t)
+            assert canonical(variant) == canonical(t)
+            assert hash(canonical(variant)) == hash(canonical(t))
+            assert alpha_eq(variant, t)
 
 
 def test_canonical_keeps_free_names_apart_from_binder_names():
-    # free names that look like a form's binder names are neither captured
-    # nor confused with one
+    # free names that look like `oracle_canonical`'s binder names are
+    # neither captured nor confused with one
     open_body = Lam("y", None, Var("!x1"))
     assert canonical(open_body) != canonical(p("\\z. z"))
     assert canonical(open_body) == canonical(Lam("z", None, Var("!x1")))
@@ -642,7 +644,7 @@ _FORM_LIKE = ("x", "!x1", "!x2", "!!x1", "a", "!k1", "!k2")
 
 
 def _form_like_term(rng, depth):
-    """A term whose free and bound names look like canonical forms' names."""
+    """A term whose free and bound names look like `oracle_canonical`'s."""
     roll = rng.random()
     if depth == 0 or roll < 0.25:
         return Var(rng.choice(_FORM_LIKE))
@@ -677,7 +679,7 @@ def test_is_value_stable_under_alpha_and_value_subst():
     rng = random.Random(16)
     for _ in range(200):
         t = _gen_untyped(rng, 10, 0)
-        assert is_value(t) == is_value(canonical(t))
+        assert is_value(t) == is_value(oracle_canonical(t))
         if is_value(t):
             assert is_value(subst(t, "x", p("\\w. w")))
 
