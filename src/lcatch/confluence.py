@@ -7,14 +7,13 @@ values are read as constraints on free *continuation* variables,
 matching the reduction rules.
 
 A compound context is a stack of the CBV machine's evaluation frames
-(apply-to, applied-value, throw), held with the throw in its hole as a
-(frames, throw) pair; a throw can jump over a whole such stack in one
-parallel step, which generalizes the throw rule.  Every other rule comes
-from the redex view in `reduction`: development contracts it on developed
-slots, parallel reduction on every combination of the slots' parallel
-reducts.  The complete development contracts every redex at once and is
-the joinability witness: for any parallel reduct t' of t, t' parallel-steps
-to the complete development of t.
+(apply-to, applied-value, throw) around a throw; a throw can jump over a
+whole such stack in one parallel step, which generalizes the throw rule.
+Every other rule comes from the redex view in `reduction`: development
+contracts it on developed slots, parallel reduction on every combination
+of the slots' parallel reducts.  The complete development contracts every
+redex at once and is the joinability witness: for any parallel reduct t'
+of t, t' parallel-steps to the complete development of t.
 """
 
 from __future__ import annotations
@@ -22,45 +21,31 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Optional
 
-from .reduction import Frame, Rule, contractum, enumerate_redexes, redex
+from .reduction import Rule, contractum, enumerate_redexes, redex
 from .syntax import (
     AlphaKey, App, Catch, Lam, Term, Throw, alpha_eq, canonical, size,
 )
-
-
-class BudgetExceeded(Exception):
-    """Raised when a term is too large for exhaustive reduct enumeration."""
-
-
-DEFAULT_NODE_BUDGET = 14
 
 
 # ---------------------------------------------------------------------------
 # Compound contexts
 
 
-def throw_decompositions(t: Term) -> list[tuple[tuple[Frame, ...], Throw]]:
-    """Every decomposition of `t` as a compound context around a throw,
-    as (frames, throw) pairs: plugging the throw into the frames gives `t`.
+def throw_decompositions(t: Term) -> list[Throw]:
+    """The throw in the hole of every decomposition of `t` as a compound
+    context around a throw.
 
     The frame spine is unique (into a non-value function, into the
     argument under a value function, through throw payloads), so the
-    results are nested, ordered outermost first.
+    throws are nested, ordered outermost first.
     """
-    out: list[tuple[tuple[Frame, ...], Throw]] = []
-    frames: list[Frame] = []
+    out: list[Throw] = []
     while True:
         match t:
             case App(fun, arg):
-                if fun.value:
-                    frames.append((1, t))
-                    t = arg
-                else:
-                    frames.append((0, t))
-                    t = fun
+                t = arg if fun.value else fun
             case Throw(_, payload):
-                out.append((tuple(frames), t))
-                frames.append((0, t))
+                out.append(t)
                 t = payload
             case _:
                 return out
@@ -82,10 +67,10 @@ def complete_development(t: Term) -> Term:
     if found is not None:
         rule, slots = found
         return contractum(rule, t, tuple(complete_development(s) for s in slots))
-    decompositions = throw_decompositions(t)
-    if decompositions:
+    throws = throw_decompositions(t)
+    if throws:
         # the largest context: its throw's payload is never a throw
-        _, throw = decompositions[-1]
+        throw = throws[-1]
         return Throw(throw.cont, complete_development(throw.payload))
     match t:
         case App(fun, arg):
@@ -101,16 +86,13 @@ def complete_development(t: Term) -> Term:
 # Parallel reduction, by exhaustive enumeration
 
 
-def parallel_reducts(t: Term, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Term]:
+def parallel_reducts(t: Term) -> list[Term]:
     """The exact set of one-step parallel reducts of `t`, modulo alpha.
 
-    Enumeration is exponential; inputs larger than `node_budget` raise
-    BudgetExceeded.  The result is deterministic, deduplicated by
-    `canonical` keys (the first of each alpha class is kept), with `t`
-    itself first (reflexivity).
+    Enumeration is exponential in the size of `t`.  The result is
+    deterministic, deduplicated by `canonical` keys (the first of each
+    alpha class is kept), with `t` itself first (reflexivity).
     """
-    if size(t) > node_budget:
-        raise BudgetExceeded(f"term has {size(t)} nodes, budget {node_budget}")
     return _preds(t)
 
 
@@ -144,7 +126,7 @@ def _preds(t: Term) -> list[Term]:
                 yield contractum(rule, t, combo)
         # a throw jumps over any compound context; the empty context is
         # the congruence for throw
-        for _, throw in throw_decompositions(t):
+        for throw in throw_decompositions(t):
             for p in _preds(throw.payload):
                 yield Throw(throw.cont, p)
 
@@ -154,10 +136,9 @@ def _preds(t: Term) -> list[Term]:
     return [t]
 
 
-def is_parallel_step(s: Term, t: Term,
-                     node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+def is_parallel_step(s: Term, t: Term) -> bool:
     """True iff `t` is a one-step parallel reduct of `s`, modulo alpha."""
-    return any(alpha_eq(u, t) for u in parallel_reducts(s, node_budget))
+    return any(alpha_eq(u, t) for u in parallel_reducts(s))
 
 
 def join(t1: Term, t2: Term, max_rounds: int = 16) -> Optional[Term]:
@@ -188,7 +169,7 @@ def reachable_by_reduction(start: Term, target: Term) -> bool:
 
     Used to validate that parallel reducts are ordinary multi-step
     reducts; the _REACH_* caps keep exploration of divergent untyped graphs
-    finite and are generous for budget-sized inputs.
+    finite and are generous for the generator's term sizes.
     """
     if alpha_eq(start, target):
         return True

@@ -313,8 +313,8 @@ def reduction_graph_status(t: Term, cap: int = GRAPH_NODE_CAP) -> str:
 
 # ---------------------------------------------------------------------------
 # Properties.  A draw maps a case's RNG and the run's configuration to the
-# case's term, or to None to skip the case; a check maps the term and the
-# generator budget to None when the property holds, else a failure detail.
+# case's term, or to None to skip the case; a check maps the term to None
+# when the property holds, else a failure detail.
 
 
 def _draw_typed(rng: random.Random, cfg: GenConfig) -> Term:
@@ -355,7 +355,7 @@ def _is_well_typed(t: Term) -> bool:
         return False
 
 
-def _check_subject_reduction(t: Term, budget: int) -> Optional[str]:
+def _check_subject_reduction(t: Term) -> Optional[str]:
     ty = infer(_EMPTY_ENV, t)
     for event in enumerate_redexes(t):
         if not derivable(_EMPTY_ENV, event.result, ty):
@@ -363,36 +363,34 @@ def _check_subject_reduction(t: Term, budget: int) -> Optional[str]:
     return None
 
 
-def _check_progress(t: Term, budget: int) -> Optional[str]:
+def _check_progress(t: Term) -> Optional[str]:
     if not t.value and step_cbv(t) is None:
         return "closed well-typed non-value has no CBV step"
     return None
 
 
-def _check_red_subset_pred(t: Term, budget: int) -> Optional[str]:
-    keys = {canonical(u) for u in parallel_reducts(t, budget)}
+def _check_red_subset_pred(t: Term) -> Optional[str]:
+    keys = {canonical(u) for u in parallel_reducts(t)}
     for event in enumerate_redexes(t):
         if canonical(event.result) not in keys:
             return f"one-step reduct via {event.rule.value} is not a parallel reduct"
     return None
 
 
-def _check_pred_subset_redd(t: Term, budget: int) -> Optional[str]:
-    for u in parallel_reducts(t, budget):
+def _check_pred_subset_redd(t: Term) -> Optional[str]:
+    for u in parallel_reducts(t):
         if not reachable_by_reduction(t, u):
             return f"parallel reduct {print_term(u)} not reached by ->*"
     return None
 
 
-def _steps_to_development(message: str) -> Callable[[Term, int], Optional[str]]:
+def _steps_to_development(message: str) -> Callable[[Term], Optional[str]]:
     """The check that every parallel reduct steps in parallel to the development."""
-    def check(t: Term, budget: int) -> Optional[str]:
-        reducts = parallel_reducts(t, budget)
+    def check(t: Term) -> Optional[str]:
+        reducts = parallel_reducts(t)
         developed = complete_development(t)
         for u in reducts:
-            # reducts of budget-sized terms can outgrow the budget;
-            # enumeration stays exhaustive for them
-            if not is_parallel_step(u, developed, max(size(u), 64)):
+            if not is_parallel_step(u, developed):
                 return message.format(print_term(u))
         return None
     return check
@@ -403,7 +401,7 @@ def _steps_to_development(message: str) -> Callable[[Term, int], Optional[str]]:
 _SN_GRAPH_SIZE = 12
 
 
-def _check_sn(t: Term, budget: int) -> Optional[str]:
+def _check_sn(t: Term) -> Optional[str]:
     if size(t) <= _SN_GRAPH_SIZE:
         status = reduction_graph_status(t)
         if status == "cyclic":
@@ -442,7 +440,7 @@ def _value_shape_ok(v: Term, ty: Type) -> bool:
     return False
 
 
-def _check_value_shapes(t: Term, budget: int) -> Optional[str]:
+def _check_value_shapes(t: Term) -> Optional[str]:
     ty = infer(_EMPTY_ENV, t)
     outcome = evaluate(t)
     if outcome.kind is not OutcomeKind.VALUE:
@@ -453,7 +451,7 @@ def _check_value_shapes(t: Term, budget: int) -> Optional[str]:
     return None
 
 
-def _check_fcv_closed(t: Term, budget: int) -> Optional[str]:
+def _check_fcv_closed(t: Term) -> Optional[str]:
     outcome = evaluate(t)
     if outcome.kind is not OutcomeKind.VALUE:
         return f"term did not evaluate to a value ({outcome.kind.value})"
@@ -468,7 +466,7 @@ class Property:
     short: str    # the name `lcatch meta --props` also takes
     draw: Callable[[random.Random, GenConfig], Optional[Term]]
     shrink: bool  # whether a failing term is shrunk before it is reported
-    check: Callable[[Term, int], Optional[str]]
+    check: Callable[[Term], Optional[str]]
 
 
 PROPERTY_TABLE = (
@@ -496,12 +494,11 @@ def run_property(prop: str, cases: int, cfg: GenConfig) -> PropertyReport:
     row = next((r for r in PROPERTY_TABLE if r.name == prop), None)
     if row is None:
         raise ValueError(f"unknown property {prop!r}")
-    budget = cfg.max_size
 
     def failing(u: Term) -> bool:
-        # a shrunk term stays one the draw could give: in budget, or well typed
-        in_draw = size(u) <= budget if row.draw is _draw_untyped else _is_well_typed(u)
-        return in_draw and row.check(u, budget) not in (None, INCONCLUSIVE)
+        # a shrunk term stays one the draw could give: in its size cap, or well typed
+        in_draw = size(u) <= cfg.max_size if row.draw is _draw_untyped else _is_well_typed(u)
+        return in_draw and row.check(u) not in (None, INCONCLUSIVE)
 
     report = PropertyReport(prop, 0)
     for i in range(cases):
@@ -509,7 +506,7 @@ def run_property(prop: str, cases: int, cfg: GenConfig) -> PropertyReport:
         term = row.draw(random.Random(case_seed), cfg)
         if term is None:
             continue
-        detail = row.check(term, budget)
+        detail = row.check(term)
         report.cases_run += 1
         if detail is INCONCLUSIVE:
             report.inconclusive += 1

@@ -126,8 +126,8 @@ def contract(t: Term) -> Optional[tuple[Rule, Term]]:
 
 # One frame: the child index the hole sits at and the parent node around it.
 # Plugging a term into a frame rebuilds only the parent and shares its other
-# child.  A context is a sequence of frames, outermost first; the redex lister,
-# the CBV machine and the compound contexts of `confluence` all use them.
+# child.  A context is a sequence of frames, outermost first; the redex lister
+# and the CBV machine both use them.
 Frame = tuple[int, Term]
 
 

@@ -16,8 +16,8 @@ Grammar (UTF-8 text, `.lc` files):
 
 Prefix forms (lambda, catch, throw) bind to the end of their scope, so
 `catch a. f x` parses as `catch a. (f x)`.  Comments run from `--` to end
-of line.  Digits are ASCII digits, and a numeral has at most 18 of them
-after its leading zeros.  Identifiers are ASCII: letter or
+of line.  Digits are ASCII digits, and a numeral is at most `#1000000`
+(leading zeros do not count).  Identifiers are ASCII: letter or
 underscore, then letters, digits, underscores, or primes.  A type
 ascription `(t : T)` elaborates to an identity application
 `(\\x: T. x) t`; the printer never emits one.

@@ -3,15 +3,15 @@ import random
 import pytest
 
 from lcatch.confluence import (
-    DEFAULT_NODE_BUDGET, BudgetExceeded, complete_development, is_parallel_step,
-    join, parallel_reducts, reachable_by_reduction, throw_decompositions,
+    complete_development, is_parallel_step, join, parallel_reducts,
+    reachable_by_reduction, throw_decompositions,
 )
 from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
-from lcatch.reduction import _plug, enumerate_redexes
+from lcatch.reduction import enumerate_redexes
 from lcatch.surface import parse_term, print_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, Var, alpha_eq, canonical,
-    fcv, free_vars, is_value, size, subst,
+    fcv, free_vars, is_value, subst, subterm_at,
 )
 
 p = parse_term
@@ -28,12 +28,34 @@ def contains(terms, t):
 # ------------- compound contexts -------------
 
 
+def _spine_throws(t):
+    """(path, throw) for each throw on the frame spine of `t`, outermost
+    first: into a non-value function, into the argument under a value
+    function, through throw payloads."""
+    out, path = [], ()
+    while True:
+        match t:
+            case App(fun, arg) if is_value(fun):
+                t, path = arg, path + (1,)
+            case App(fun, _):
+                t, path = fun, path + (0,)
+            case Throw(_, payload):
+                out.append((path, t))
+                t, path = payload, path + (0,)
+            case _:
+                return out
+
+
 def test_decompositions_reassemble():
     rng = random.Random(31)
     for _ in range(400):
         t = _gen_untyped(rng, 12, 0)
-        for frames, throw in throw_decompositions(t):
-            assert _plug(frames, throw) == t
+        spine = _spine_throws(t)
+        throws = throw_decompositions(t)
+        assert len(throws) == len(spine)
+        for throw, (path, expected) in zip(throws, spine):
+            assert throw is expected
+            assert subterm_at(t, path) is throw
             assert isinstance(throw, Throw)
 
 
@@ -113,11 +135,6 @@ def test_preds_throw_chain_matches_jump_rule():
     assert len(out) == 4
 
 
-def test_preds_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        parallel_reducts(p("#6"), node_budget=5)
-
-
 def test_is_parallel_step_reflexive():
     rng = random.Random(32)
     for _ in range(200):
@@ -143,24 +160,24 @@ def test_parallel_step_validity():
 # ------------- confluence properties on random terms -------------
 
 CASES = 300
-BUDGET = 12
+MAX_SIZE = 12
 
 
 def _random_terms(n, seed=33):
     rng = random.Random(seed)
-    return [_gen_untyped(rng, BUDGET, 0) for _ in range(n)]
+    return [_gen_untyped(rng, MAX_SIZE, 0) for _ in range(n)]
 
 
 def test_one_step_reduction_is_parallel_reduction():
     for t in _random_terms(CASES):
-        reduct_keys = keys(parallel_reducts(t, BUDGET))
+        reduct_keys = keys(parallel_reducts(t))
         for event in enumerate_redexes(t):
             assert canonical(event.result) in reduct_keys, print_term(t)
 
 
 def test_parallel_reduction_is_multi_step_reduction():
     for t in _random_terms(CASES, seed=34):
-        for u in parallel_reducts(t, BUDGET):
+        for u in parallel_reducts(t):
             assert reachable_by_reduction(t, u), (print_term(t), print_term(u))
 
 
@@ -168,17 +185,17 @@ def test_takahashi_property():
     # every parallel reduct steps to the complete development
     for t in _random_terms(CASES, seed=35):
         developed = complete_development(t)
-        for u in parallel_reducts(t, BUDGET):
-            assert contains(parallel_reducts(u, max(size(u), 64)), developed), \
+        for u in parallel_reducts(t):
+            assert contains(parallel_reducts(u), developed), \
                 (print_term(t), print_term(u))
 
 
 def test_diamond_property_witnessed_by_development():
     for t in _random_terms(120, seed=36):
         developed = complete_development(t)
-        reducts = parallel_reducts(t, BUDGET)
+        reducts = parallel_reducts(t)
         memberships = {
-            id(u): contains(parallel_reducts(u, max(size(u), 64)), developed)
+            id(u): contains(parallel_reducts(u), developed)
             for u in reducts
         }
         # the development joins every pair of parallel reducts
@@ -189,14 +206,14 @@ def test_values_parallel_reduce_to_values():
     for t in _random_terms(400, seed=37):
         if not is_value(t):
             continue
-        for u in parallel_reducts(t, BUDGET):
+        for u in parallel_reducts(t):
             assert is_value(u)
 
 
 def test_free_variable_monotonicity_under_parallel_reduction():
     for t in _random_terms(300, seed=38):
         before = free_vars(t)
-        for u in parallel_reducts(t, BUDGET):
+        for u in parallel_reducts(t):
             after = free_vars(u)
             assert after.term_vars <= before.term_vars
             assert after.cont_vars <= before.cont_vars
@@ -204,7 +221,7 @@ def test_free_variable_monotonicity_under_parallel_reduction():
 
 def test_development_is_itself_a_parallel_reduct():
     for t in _random_terms(CASES, seed=39):
-        assert contains(parallel_reducts(t, BUDGET), complete_development(t))
+        assert contains(parallel_reducts(t), complete_development(t))
 
 
 # ------------- join -------------
@@ -352,10 +369,10 @@ def oracle_preds(t):
 
 def _assert_matches_oracles(t):
     assert complete_development(t) == oracle_development(t)
-    assert parallel_reducts(t, max(size(t), DEFAULT_NODE_BUDGET)) == oracle_preds(t)
+    assert parallel_reducts(t) == oracle_preds(t)
 
 
-@pytest.mark.parametrize("max_size", [8, 12, 14])
+@pytest.mark.parametrize("max_size", [8, 12, 14, 20])
 def test_development_and_reducts_match_oracles(max_size):
     for seed in range(150):
         _assert_matches_oracles(gen_term(GenConfig(seed=seed, max_size=max_size, typed=False)))
@@ -377,7 +394,7 @@ def test_reducts_match_oracle_on_shared_subterm_objects():
     for _ in range(150):
         s = _gen_untyped(rng, 6, 0)
         for t in [App(s, s)] + [App(u, s) for u in parallel_reducts(s)[:3]]:
-            assert parallel_reducts(t, max(size(t), DEFAULT_NODE_BUDGET)) == oracle_preds(t)
+            assert parallel_reducts(t) == oracle_preds(t)
 
 
 def test_reducts_are_stable_across_calls_and_caller_mutation():

@@ -229,7 +229,7 @@ _MUTANTS = {
     "derivable": ("derivable", lambda env, t, ty: False),
     "complete_development": ("complete_development", lambda t: t),
     "reachable_by_reduction": ("reachable_by_reduction", lambda t, u: False),
-    "parallel_reducts": ("parallel_reducts", lambda t, budget: [t]),
+    "parallel_reducts": ("parallel_reducts", lambda t: [t]),
     "graph_cyclic": ("reduction_graph_status", lambda t, cap=0: "cyclic"),
     "graph_overflow": ("reduction_graph_status", lambda t, cap=0: "overflow"),
     "evaluate": ("evaluate", lambda t, fuel=0, keep_trace=False:
