@@ -7,8 +7,11 @@ complete development), meta (run the metatheory property suites).
 Exit codes: 0 success; 1 parse error, unreadable file or out-of-range
 flag; 2 type error; 3 uncaught throw; 4 out of fuel; 5 metatheory
 property failure; 6 resource exhaustion (a term nested too deeply for the
-interpreter's recursion limit).  Every error is one line on stderr.
-Identical invocations produce byte-identical output.
+interpreter's recursion limit).  `eval` types the term in the empty
+environment first, so a throw to a free continuation exits 2 and a
+closed well-typed term never gets stuck (progress): exit 3 and the
+stuck-term exit 4 are guards that no input reaches.  Every error is one
+line on stderr.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 from typing import Optional
 
 from . import metatheory, prelude
-from .reduction import DEFAULT_FUEL, OutcomeKind, enumerate_redexes, evaluate, render_trace
+from .reduction import DEFAULT_FUEL, TRACE_CAP, Outcome, OutcomeKind, enumerate_redexes, evaluate
 from .confluence import complete_development
 from .surface import ParseError, expand_defs, expand_term, parse_program, parse_term, print_term, print_type
 from .syntax import Term
@@ -48,6 +51,19 @@ def _load_scope(prelude_path: Optional[str], use_prelude: bool) -> list[tuple[st
 
 def _parse_expression(expr: str, scope: list[tuple[str, Term]]) -> Term:
     return expand_term(parse_term(expr), scope)
+
+
+def render_trace(outcome: Outcome, sugar: bool = False) -> list[str]:
+    """One line per event: `step <k>: [<rule>] <term>`."""
+    if outcome.trace is None:
+        return []
+    lines = [
+        f"step {k}: [{event.rule.value}] {print_term(event.result, sugar=sugar)}"
+        for k, event in enumerate(outcome.trace, start=1)
+    ]
+    if outcome.trace_truncated:
+        lines.append(f"... trace truncated after {TRACE_CAP} events ...")
+    return lines
 
 
 def cmd_check(args: argparse.Namespace) -> int:

@@ -22,9 +22,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .reduction import Rule, contractum, enumerate_redexes, redex
-from .syntax import (
-    AlphaKey, App, Catch, Lam, Term, Throw, alpha_eq, canonical, size,
-)
+from .syntax import App, Catch, Lam, Term, Throw, size
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +88,11 @@ def parallel_reducts(t: Term) -> list[Term]:
     """The exact set of one-step parallel reducts of `t`, modulo alpha.
 
     Enumeration is exponential in the size of `t`.  The result is
-    deterministic, deduplicated by `canonical` keys (the first of each
-    alpha class is kept), with `t` itself first (reflexivity).
+    deterministic, deduplicated up to alpha by the terms' own `==` and
+    `hash` (the first of each alpha class is kept), with `t` itself first
+    (reflexivity).
     """
     return _preds(t)
-
-
-def _dedup(terms: Iterator[Term]) -> list[Term]:
-    seen: dict[AlphaKey, Term] = {}
-    for u in terms:
-        key = canonical(u)
-        if key not in seen:
-            seen[key] = u
-    return list(seen.values())
 
 
 def _preds(t: Term) -> list[Term]:
@@ -132,13 +122,13 @@ def _preds(t: Term) -> list[Term]:
 
     match t:
         case App() | Throw() | Catch() | Lam():
-            return _dedup(gen())
+            return list(dict.fromkeys(gen()))
     return [t]
 
 
 def is_parallel_step(s: Term, t: Term) -> bool:
     """True iff `t` is a one-step parallel reduct of `s`, modulo alpha."""
-    return any(alpha_eq(u, t) for u in parallel_reducts(s))
+    return t in parallel_reducts(s)
 
 
 def join(t1: Term, t2: Term, max_rounds: int = 16) -> Optional[Term]:
@@ -150,7 +140,7 @@ def join(t1: Term, t2: Term, max_rounds: int = 16) -> Optional[Term]:
     """
     a, b = t1, t2
     for _ in range(max_rounds + 1):
-        if alpha_eq(a, b):
+        if a == b:
             return a
         a = complete_development(a)
         b = complete_development(b)
@@ -171,10 +161,10 @@ def reachable_by_reduction(start: Term, target: Term) -> bool:
     reducts; the _REACH_* caps keep exploration of divergent untyped graphs
     finite and are generous for the generator's term sizes.
     """
-    if alpha_eq(start, target):
+    if start == target:
         return True
     frontier = [start]
-    seen = {canonical(start)}
+    seen = {start}
     explored = 0
     for _ in range(_REACH_MAX_DEPTH):
         next_frontier: list[Term] = []
@@ -184,12 +174,11 @@ def reachable_by_reduction(start: Term, target: Term) -> bool:
                 if explored > _REACH_MAX_EXPLORED:
                     return False
                 v = event.result
-                if alpha_eq(v, target):
+                if v == target:
                     return True
-                key = canonical(v)
-                if key in seen or size(v) > _REACH_MAX_SIZE:
+                if v in seen or size(v) > _REACH_MAX_SIZE:
                     continue
-                seen.add(key)
+                seen.add(v)
                 next_frontier.append(v)
         if not next_frontier:
             return False

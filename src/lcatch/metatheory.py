@@ -24,8 +24,8 @@ from .confluence import (
 from .reduction import OutcomeKind, enumerate_redexes, evaluate, step_cbv
 from .surface import print_term, print_type
 from .syntax import (
-    AlphaKey, App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, Nil, Term, Throw,
-    Type, UNIT, UNIT_TYPE, UnitVal, Var, canonical, children, cons, fcv,
+    App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, Nil, Term, Throw,
+    Type, UNIT, UNIT_TYPE, UnitVal, Var, children, cons, fcv,
     lrec, replace_at, size, subterm_at,
 )
 from .typecheck import TypingEnv, TypingError, derivable, infer, is_arrow_free
@@ -288,26 +288,25 @@ GRAPH_NODE_CAP = 20000
 def reduction_graph_status(t: Term, cap: int = GRAPH_NODE_CAP) -> str:
     """Explore the full reduction graph: 'acyclic', 'cyclic', or 'overflow'."""
     GREY, BLACK = 1, 2
-    root = canonical(t)
-    colors: dict[AlphaKey, int] = {root: GREY}
-    # each grey node's key and an iterator over its one-step reducts
-    stack = [(root, (event.result for event in enumerate_redexes(t)))]
+    # terms compare up to alpha, so each node of the graph is an alpha class
+    colors: dict[Term, int] = {t: GREY}
+    # each grey node and an iterator over its one-step reducts
+    stack = [(t, (event.result for event in enumerate_redexes(t)))]
     while stack:
-        key, kids = stack[-1]
+        node, kids = stack[-1]
         child = next(kids, None)
         if child is None:
-            colors[key] = BLACK
+            colors[node] = BLACK
             stack.pop()
             continue
-        child_key = canonical(child)
-        color = colors.get(child_key)
+        color = colors.get(child)
         if color == GREY:
             return "cyclic"
         if color is None:
             if len(colors) >= cap:
                 return "overflow"
-            colors[child_key] = GREY
-            stack.append((child_key, (event.result for event in enumerate_redexes(child))))
+            colors[child] = GREY
+            stack.append((child, (event.result for event in enumerate_redexes(child))))
     return "acyclic"
 
 
@@ -370,9 +369,9 @@ def _check_progress(t: Term) -> Optional[str]:
 
 
 def _check_red_subset_pred(t: Term) -> Optional[str]:
-    keys = {canonical(u) for u in parallel_reducts(t)}
+    reducts = set(parallel_reducts(t))
     for event in enumerate_redexes(t):
-        if canonical(event.result) not in keys:
+        if event.result not in reducts:
             return f"one-step reduct via {event.rule.value} is not a parallel reduct"
     return None
 

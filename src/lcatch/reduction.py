@@ -22,7 +22,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .surface import print_term
 from .syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, children, fcv, lrec,
     replace_child, subst,
@@ -287,16 +286,3 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
         kind, cont = _classify(t)
         return Outcome(kind, t, steps, cont, trace, truncated)
     return Outcome(OutcomeKind.OUT_OF_FUEL, t, steps, None, trace, truncated)
-
-
-def render_trace(outcome: Outcome, sugar: bool = False) -> list[str]:
-    """One line per event: `step <k>: [<rule>] <term>`."""
-    if outcome.trace is None:
-        return []
-    lines = [
-        f"step {k}: [{event.rule.value}] {print_term(event.result, sugar=sugar)}"
-        for k, event in enumerate(outcome.trace, start=1)
-    ]
-    if outcome.trace_truncated:
-        lines.append(f"... trace truncated after {TRACE_CAP} events ...")
-    return lines

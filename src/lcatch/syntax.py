@@ -5,7 +5,7 @@ cons cell is `App(App(ConsC(), h), t)` and a recursor application is three
 nested `App`s; partially applied constants count as values.  Binding comes
 in two disjoint namespaces: lambda binds term variables, catch binds
 continuation variables.  All observable behaviour is defined up to
-alpha-equivalence; structural `==` is intentionally name-sensitive.
+alpha-equivalence, and so are `==` and `hash` on terms.
 """
 
 from __future__ import annotations
@@ -71,10 +71,10 @@ class Term:
 
     Each node holds its fields and the memo slots listed under "Per-node
     memos" below; `value` says whether the node is a value.  Nodes compare
-    and hash structurally, like frozen dataclasses of their fields, and
-    assigning or deleting any attribute raises AttributeError.  The
-    structural hash is not memoized: dictionaries that dedupe terms up to
-    alpha key them with `canonical` instead.
+    up to alpha (`==` is `alpha_eq`) and hash by the memoized, name-free
+    `_alpha_hash`, so a dict or set of terms dedupes alpha-variants and
+    keeps the first one inserted.  `repr` stays structural and shows every
+    name.  Assigning or deleting any attribute raises AttributeError.
     """
 
     __slots__ = ("_free_vars", "_alpha_hash", "_type")
@@ -96,14 +96,9 @@ class Term:
         return ()
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
+        if not isinstance(other, Term):
             return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
+        return alpha_eq(self, other)
 
     def __reduce__(self):
         # copy and pickle rebuild the node from its fields, memos cleared
@@ -294,7 +289,7 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 # built; None means "not computed yet", and the first call computes the
 # memo and writes it once through the slot's descriptor.  The three memos:
 #   _free_vars   free_vars
-#   _alpha_hash  _alpha_hash: a structural hash that skips every name
+#   _alpha_hash  Term.__hash__: a structural hash that skips every name
 #   _type        typecheck.infer: (type, metavariables its walk allocated)
 #                of a term inferred closed; see typecheck's docstring
 # Whether a node is a value needs no memo: `value` is a class constant,
@@ -476,29 +471,10 @@ def _alpha_eq(a, b, env1, env2, cenv1, cenv2, depth) -> bool:
             return cls in (UnitVal, Nil, ConsC, LrecC)
 
 
-class AlphaKey:
-    """A term as a dictionary key up to alpha-equivalence: it hashes by
-    `_alpha_hash`, which skips every name, and compares by `alpha_eq`,
-    which settles the collisions between alpha-inequal terms."""
-
-    __slots__ = ("term",)
-
-    def __init__(self, term: Term):
-        self.term = term
-
-    def __hash__(self):
-        return _alpha_hash(self.term)
-
-    def __eq__(self, other):
-        if type(other) is not AlphaKey:
-            return NotImplemented
-        return alpha_eq(self.term, other.term)
-
-
-def canonical(t: Term) -> AlphaKey:
-    """The key that `t` shares with exactly its alpha-variants, for
-    deduplication modulo alpha."""
-    return AlphaKey(t)
+def canonical(t: Term) -> Term:
+    """`t` itself: terms compare and hash up to alpha, so a term is its own
+    key for deduplication modulo alpha."""
+    return t
 
 
 # The alpha hash of each leaf class, and tags for the binders and Throw.
@@ -508,7 +484,10 @@ _LAM, _CATCH, _THROW = 6, 7, 8
 
 def _alpha_hash(t: Term) -> int:
     """A structural hash of `t` that skips every name, bound or free, so
-    alpha-equal terms share it; memoized per node."""
+    alpha-equal terms share it; memoized per node.  It is `Term.__hash__`,
+    and `alpha_eq` settles its collisions.  An unannotated Lam hashes
+    None, whose hash is its address before Python 3.12, so the hash can
+    change between runs: never iterate a set of terms."""
     h = t._alpha_hash
     if h is None:
         cls = type(t)
@@ -526,3 +505,6 @@ def _alpha_hash(t: Term) -> int:
             raise ValueError(f"not a term: {t!r}")
         _set_alpha_hash(t, h)
     return h
+
+
+Term.__hash__ = _alpha_hash

@@ -72,6 +72,13 @@ def test_eval_type_error_exit_code():
     assert "NonArrowFreeCatch" in err
 
 
+def test_eval_throw_to_an_unbound_continuation_is_a_type_error():
+    # eval types the term closed first, so exit 3 (uncaught throw) cannot
+    # come from the CLI: the free continuation variable is the type error
+    assert run_cli("eval", "-e", "throw a ()") == (
+        2, "", "type error: UnboundContVar at /: unbound continuation variable 'a'\n")
+
+
 def test_eval_parse_error_exit_code():
     code, _, err = run_cli("eval", "-e", "(\\x. x")
     assert code == 1

@@ -14,6 +14,8 @@ from lcatch.syntax import (
     fcv, free_vars, is_value, subst, subterm_at,
 )
 
+from test_syntax import identical
+
 p = parse_term
 
 
@@ -368,8 +370,8 @@ def oracle_preds(t):
 
 
 def _assert_matches_oracles(t):
-    assert complete_development(t) == oracle_development(t)
-    assert parallel_reducts(t) == oracle_preds(t)
+    assert identical(complete_development(t), oracle_development(t))
+    assert identical(parallel_reducts(t), oracle_preds(t))
 
 
 @pytest.mark.parametrize("max_size", [8, 12, 14, 20])
@@ -394,7 +396,7 @@ def test_reducts_match_oracle_on_shared_subterm_objects():
     for _ in range(150):
         s = _gen_untyped(rng, 6, 0)
         for t in [App(s, s)] + [App(u, s) for u in parallel_reducts(s)[:3]]:
-            assert parallel_reducts(t) == oracle_preds(t)
+            assert identical(parallel_reducts(t), oracle_preds(t))
 
 
 def test_reducts_are_stable_across_calls_and_caller_mutation():
@@ -402,8 +404,8 @@ def test_reducts_are_stable_across_calls_and_caller_mutation():
         t = gen_term(GenConfig(seed=seed, max_size=12, typed=False))
         expected = oracle_preds(t)
         first = parallel_reducts(t)
-        assert first == expected
+        assert identical(first, expected)
         first.reverse()
         first.append(UNIT)
-        assert parallel_reducts(t) == expected
+        assert identical(parallel_reducts(t), expected)
         assert parallel_reducts(t) is not parallel_reducts(t)

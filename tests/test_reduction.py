@@ -6,12 +6,13 @@ from pathlib import Path
 import pytest
 
 import lcatch.reduction as reduction
+from lcatch.cli import render_trace
 from lcatch.confluence import complete_development
 from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
 from lcatch.prelude import encode_nat, prelude_defs
 from lcatch.reduction import (
     Outcome, OutcomeKind, ReductionEvent, Rule, _classify, contract,
-    enumerate_redexes, evaluate, render_trace, step_cbv,
+    enumerate_redexes, evaluate, step_cbv,
 )
 from lcatch.surface import expand_term, parse_term
 from lcatch.syntax import (
@@ -19,7 +20,7 @@ from lcatch.syntax import (
     children, fcv, is_value, replace_at, subst, subterm_at,
 )
 
-from test_syntax import oracle_canonical
+from test_syntax import identical, oracle_canonical
 
 p = parse_term
 
@@ -144,7 +145,7 @@ def test_contract_matches_oracle_on_every_subterm(typed, max_size):
         t = gen_term(GenConfig(seed=seed, max_size=max_size, typed=typed))
         for sub in _all_subterms(t):
             want = matching_rules(sub)
-            assert contract(sub) == (want[0] if want else None)
+            assert identical(contract(sub), want[0] if want else None)
 
 
 # side conditions that generated terms rarely reach: a continuation free in
@@ -164,7 +165,7 @@ def test_contract_matches_oracle_on_fixed_terms():
     for t in terms:
         for sub in _all_subterms(t):
             want = matching_rules(sub)
-            assert contract(sub) == (want[0] if want else None)
+            assert identical(contract(sub), want[0] if want else None)
 
 
 # ------------- pinned reducts -------------
@@ -237,7 +238,7 @@ def test_enumerate_event_results_are_consistent():
             redex = subterm_at(t, event.path)
             rule, contractum = contract(redex)
             assert rule is event.rule
-            assert replace_at(t, event.path, contractum) == event.result
+            assert identical(replace_at(t, event.path, contractum), event.result)
 
 
 # ------------- step_cbv -------------
@@ -443,10 +444,10 @@ def oracle_evaluate(t, fuel, keep_trace=False):
 def _assert_same_run(t, fuel):
     got = evaluate(t, fuel=fuel, keep_trace=True)
     want = oracle_evaluate(t, fuel, keep_trace=True)
-    assert (got.kind, got.term, got.steps, got.cont, got.trace_truncated) == \
-        (want.kind, want.term, want.steps, want.cont, want.trace_truncated)
-    assert [(e.rule, e.path, e.result) for e in got.trace] == \
-        [(e.rule, e.path, e.result) for e in want.trace]
+    assert identical((got.kind, got.term, got.steps, got.cont, got.trace_truncated),
+                     (want.kind, want.term, want.steps, want.cont, want.trace_truncated))
+    assert identical([(e.rule, e.path, e.result) for e in got.trace],
+                     [(e.rule, e.path, e.result) for e in want.trace])
 
 
 @pytest.mark.parametrize("typed", [True, False])
@@ -454,7 +455,7 @@ def _assert_same_run(t, fuel):
 def test_machine_matches_oracle_on_generated_terms(typed, max_size):
     for seed in range(60):
         t = gen_term(GenConfig(seed=seed, max_size=max_size, typed=typed))
-        assert step_cbv(t) == oracle_step(t)
+        assert identical(step_cbv(t), oracle_step(t))
         for fuel in (0, 1, 2, 5, 50):
             _assert_same_run(t, fuel)
 

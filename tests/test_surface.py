@@ -18,6 +18,8 @@ from lcatch.syntax import (
     Type, UNIT, UNIT_TYPE, UnitVal, Var, alpha_eq, canonical, cons,
 )
 
+from test_syntax import identical
+
 p = parse_term
 
 
@@ -25,11 +27,11 @@ p = parse_term
 
 
 def test_parse_annotated_lambda():
-    assert p("\\x:1. x") == Lam("x", UNIT_TYPE, Var("x"))
+    assert identical(p("\\x:1. x"), Lam("x", UNIT_TYPE, Var("x")))
 
 
 def test_parse_catch_throw():
-    assert p("catch a. throw a ()") == Catch("a", Throw("a", UNIT))
+    assert identical(p("catch a. throw a ()"), Catch("a", Throw("a", UNIT)))
 
 
 def test_parse_application_left_associative():
@@ -48,9 +50,9 @@ def test_parse_numeral_sugar():
 
 def test_parse_prefix_forms_extend_maximally():
     # catch/lambda/throw swallow the whole rest of their scope
-    assert p("catch a. f x") == Catch("a", App(Var("f"), Var("x")))
-    assert p("throw a f x") == Throw("a", App(Var("f"), Var("x")))
-    assert p("\\x. f x") == Lam("x", None, App(Var("f"), Var("x")))
+    assert identical(p("catch a. f x"), Catch("a", App(Var("f"), Var("x"))))
+    assert identical(p("throw a f x"), Throw("a", App(Var("f"), Var("x"))))
+    assert identical(p("\\x. f x"), Lam("x", None, App(Var("f"), Var("x"))))
 
 
 def test_parse_types():
@@ -66,12 +68,12 @@ def test_parse_comments_and_whitespace():
     (\\x. -- inline comment
        x) ()
     """
-    assert p(src) == App(Lam("x", None, Var("x")), UNIT)
+    assert identical(p(src), App(Lam("x", None, Var("x")), UNIT))
 
 
 def test_parse_ascription_elaborates_to_identity_application():
     t = p("([] : [1])")
-    assert t == App(Lam("_asc", ListType(UNIT_TYPE), Var("_asc")), Nil())
+    assert identical(t, App(Lam("_asc", ListType(UNIT_TYPE), Var("_asc")), Nil()))
 
 
 def test_parse_primed_identifiers():
@@ -98,7 +100,7 @@ def test_parse_error_reports_expected():
 
 def test_parse_is_deterministic():
     src = "catch a. throw a (cons () [])"
-    assert p(src) == p(src)
+    assert identical(p(src), p(src))
 
 
 # ------------- programs -------------
@@ -200,7 +202,7 @@ def test_printing_then_parsing_is_the_identity():
     for group in _round_trip_groups():
         for u in group:
             for sugar in (False, True):
-                assert parse_term(print_term(u, sugar=sugar)) == u, print_term(u)
+                assert identical(parse_term(print_term(u, sugar=sugar)), u), print_term(u)
             checked += 1
     assert checked > 3000
 
@@ -580,8 +582,8 @@ def fuzz_inputs(seed: int, count: int) -> list[str]:
 
 def test_lexer_and_parser_match_the_oracle_on_mutated_inputs():
     for src in fuzz_inputs(seed=8, count=1500):
-        assert outcome(parse_term, src) == outcome(oracle_parse_term, src), src
-        assert outcome(parse_program, src) == outcome(oracle_parse_program, src), src
+        assert identical(outcome(parse_term, src), outcome(oracle_parse_term, src)), src
+        assert identical(outcome(parse_program, src), outcome(oracle_parse_program, src)), src
 
 
 @pytest.mark.parametrize("src", [
@@ -593,8 +595,8 @@ def test_lexer_and_parser_match_the_oracle_on_mutated_inputs():
     "\ufeffx", "x \u00a0 y", "\\x:1.x\f",
 ])
 def test_edge_cases_match_the_oracle(src):
-    assert outcome(parse_term, src) == outcome(oracle_parse_term, src)
-    assert outcome(parse_program, src) == outcome(oracle_parse_program, src)
+    assert identical(outcome(parse_term, src), outcome(oracle_parse_term, src))
+    assert identical(outcome(parse_program, src), outcome(oracle_parse_program, src))
 
 
 def improper_chain(heads, end):

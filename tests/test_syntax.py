@@ -21,6 +21,12 @@ from lcatch.syntax import (
 p = parse_term
 
 
+def identical(a, b):
+    """Equality that pins every name, bound ones included: `==` on terms is
+    alpha-equivalence, while `repr` shows each node's fields as built."""
+    return repr(a) == repr(b)
+
+
 # ------------- is_value -------------
 
 
@@ -164,13 +170,16 @@ def _node_groups():
 
 
 def test_nodes_agree_with_the_dataclass_oracle():
-    checked = values = 0
+    # `repr` and the value flag are structural, as on the oracle; `==` is
+    # the oracle's alpha classes: dataclass equality of the `!`-renamed
+    # forms; and equal terms hash equal
+    checked = values = equal_pairs = 0
     for group in _node_groups():
         subterms = {id(u): u for t in group for u in _subterms(t)}.values()
-        pairs = [(u, to_oracle(u)) for u in subterms]
-        for u, o in pairs:
+        pairs = [(u, to_oracle(oracle_canonical(u))) for u in subterms]
+        for u, _ in pairs:
+            o = to_oracle(u)
             assert u.value is oracle_is_value(o) is is_value(u)
-            assert hash(u) == hash(o)
             assert repr(u) == repr(o)
             values += u.value
         # equality on every pair of subterms of one size: the pairs that
@@ -183,8 +192,11 @@ def test_nodes_agree_with_the_dataclass_oracle():
                 for v, ov in same_size:
                     assert (u == v) is (o == ov)
                     assert (u != v) is (o != ov)
+                    if u == v:
+                        assert hash(u) == hash(v)
+                        equal_pairs += u is not v and repr(u) != repr(v)
         checked += len(pairs)
-    assert checked > 10000 and 0 < values < checked
+    assert checked > 10000 and 0 < values < checked and equal_pairs > 0
 
 
 def test_nodes_are_immutable_and_have_no_dict():
@@ -203,7 +215,7 @@ def test_nodes_copy_and_pickle():
         for t in group:
             hash(t)
             for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-                assert other == t and hash(other) == hash(t) and other.value is t.value
+                assert identical(other, t) and hash(other) == hash(t) and other.value is t.value
 
 
 def test_app_value_flag_follows_its_children():
@@ -277,7 +289,7 @@ def test_subst_under_catch():
 
 def test_subst_shadowed_binder_is_untouched():
     t = p("\\x. x")
-    assert subst(t, "x", UNIT) == t
+    assert identical(subst(t, "x", UNIT), t)
 
 
 def test_subst_removes_the_variable():
@@ -477,7 +489,7 @@ def test_subst_agrees_with_the_two_walker_oracle(monkeypatch):
     bases = _counting_fresh_names(monkeypatch)
     for rng, t, r in _oracle_cases(41, 10000):
         x = rng.choice(sorted(fv(t)) or _ORACLE_TERM_NAMES)
-        assert subst(t, x, r) == oracle_subst(t, x, r)
+        assert identical(subst(t, x, r), oracle_subst(t, x, r))
     # both binder kinds were freshened, suffixed names included
     assert {"x", "x1", "a", "a1"} <= set(bases)
     assert sum(b in _ORACLE_CONT_NAMES for b in bases) > 100
@@ -491,7 +503,7 @@ def test_rename_cont_var_agrees_with_the_two_walker_oracle(monkeypatch):
         unused = [c for c in _ORACLE_CONT_NAMES if c not in free]
         if free and unused:
             old, new = rng.choice(free), rng.choice(unused)
-            assert rename_cont_var(t, old, new) == oracle_rename_cont_var(t, old, new)
+            assert identical(rename_cont_var(t, old, new), oracle_rename_cont_var(t, old, new))
     # a catch that binds the new name was freshened
     assert len(bases) > 150
 
@@ -613,7 +625,7 @@ def test_canonical_keys_agree_with_the_oracle():
         for t in group:
             for u in group:
                 same = canonical(t) == canonical(u)
-                assert same == (oracle_canonical(t) == oracle_canonical(u))
+                assert same == identical(oracle_canonical(t), oracle_canonical(u))
                 equal_pairs += same and t is not u
     assert equal_pairs > 1000
 
@@ -638,6 +650,15 @@ def test_canonical_keeps_free_names_apart_from_binder_names():
     assert canonical(closed) == canonical(p("\\x. \\y. x"))
     assert canonical(closed) != canonical(p("\\x. \\y. y"))
     assert canonical(Catch("c", Throw("!k1", UNIT))) != canonical(Catch("c", Throw("c", UNIT)))
+
+
+def test_a_dict_of_terms_keeps_the_first_alpha_variant():
+    first, other, variant = p("\\x. catch a. throw a x"), p("\\x. \\y. x"), p("\\y. catch b. throw b y")
+    seen = dict.fromkeys([first, other, variant])
+    assert identical(list(seen), [first, other]) and next(iter(seen)) is first
+    assert variant in seen and len({first, variant}) == 1
+    assert first == variant and not identical(first, variant) and hash(first) == hash(variant)
+    assert first != "\\x. catch a. throw a x" and UNIT != ()
 
 
 _FORM_LIKE = ("x", "!x1", "!x2", "!!x1", "a", "!k1", "!k2")

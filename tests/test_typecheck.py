@@ -18,6 +18,8 @@ from lcatch.typecheck import (
     ErrorKind, TypingEnv, TypingError, check, derivable, infer, is_arrow_free,
 )
 
+from test_syntax import identical
+
 p = parse_term
 EMPTY = TypingEnv()
 NAT = ListType(UNIT_TYPE)
@@ -669,4 +671,4 @@ def test_memo_is_written_only_by_a_successful_closed_infer():
     assert t._type == (ty, 1)    # one metavariable, for the application
     assert t.fun._type is None and t.arg._type is None
     for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-        assert other == t and other._type is None
+        assert identical(other, t) and other._type is None
