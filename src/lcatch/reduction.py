@@ -162,35 +162,39 @@ def _walk_redexes(u: Term, frames: list[Frame], path: tuple[int, ...],
 # The CBV machine
 
 
-def _decompose(t: Term, frames: list[Frame]) -> tuple[Term, Optional[tuple[Rule, Term]]]:
+def _decompose(t: Term, frames: list[Frame]
+               ) -> tuple[Term, Optional[tuple[Rule, tuple[Term, ...]]]]:
     """Walk down the CBV spine from `t` to the first position whose root
-    contracts, pushing one frame per move.
+    is a redex, pushing one frame per move.
 
-    The walk contracts at the focus first, then moves into a non-value
-    function, then into a non-value argument, a non-value throw payload or
-    a catch body.  Returns the focus and its contraction, or None for the
-    contraction when the walk ends on a value, an uncaught throw or a
-    stuck term.
+    The walk tries the focus first, then moves into a non-value function,
+    then into a non-value argument, a non-value throw payload or a catch
+    body.  Returns the focus and its redex view (`redex`'s rule and
+    slots), or None for the view when the walk ends on a value, an
+    uncaught throw or a stuck term.
     """
     while True:
-        c = contract(t)
-        if c is not None:
-            return t, c
-        match t:
-            case App(fun, _) if not fun.value:
+        found = redex(t)
+        if found is not None:
+            return t, found
+        cls = type(t)
+        if cls is App:
+            if not t.fun.value:
                 frames.append((0, t))
-                t = fun
-            case App(_, arg) if not arg.value:
+                t = t.fun
+            elif not t.arg.value:
                 frames.append((1, t))
-                t = arg
-            case Throw(_, payload) if not payload.value:
-                frames.append((0, t))
-                t = payload
-            case Catch(_, body):
-                frames.append((0, t))
-                t = body
-            case _:
+                t = t.arg
+            else:
                 return t, None
+        elif cls is Throw and not t.payload.value:
+            frames.append((0, t))
+            t = t.payload
+        elif cls is Catch:
+            frames.append((0, t))
+            t = t.body
+        else:
+            return t, None
 
 
 def _event(frames: list[Frame], rule: Rule, contractum: Term) -> ReductionEvent:
@@ -201,10 +205,11 @@ def step_cbv(t: Term) -> Optional[ReductionEvent]:
     """The standard CBV step, or None for values, uncaught throws and
     stuck terms: the first step of the machine from the root of `t`."""
     frames: list[Frame] = []
-    _, c = _decompose(t, frames)
-    if c is None:
+    t, found = _decompose(t, frames)
+    if found is None:
         return None
-    return _event(frames, *c)
+    rule, slots = found
+    return _event(frames, rule, contractum(rule, t, slots))
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +273,11 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
     steps = 0
     frames: list[Frame] = []
     while True:
-        t, c = _decompose(t, frames)
-        if c is None or steps == fuel:
+        t, found = _decompose(t, frames)
+        if found is None or steps == fuel:
             break
-        rule, t = c
+        rule, slots = found
+        t = contractum(rule, t, slots)
         steps += 1
         if trace is not None:
             if len(trace) < TRACE_CAP:
@@ -282,7 +288,7 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
             index, parent = frames.pop()
             t = replace_child(parent, index, t)
     t = _plug(frames, t)
-    if c is None:
+    if found is None:
         kind, cont = _classify(t)
         return Outcome(kind, t, steps, cont, trace, truncated)
     return Outcome(OutcomeKind.OUT_OF_FUEL, t, steps, None, trace, truncated)

@@ -477,24 +477,26 @@ def canonical(t: Term) -> Term:
     return t
 
 
-# The alpha hash of each leaf class, and tags for the binders and Throw.
+# The alpha hash of each leaf class, tags for the binders and Throw, and
+# the tag hashed for a missing annotation.
 _LEAF_HASH = {Var: 1, UnitVal: 2, Nil: 3, ConsC: 4, LrecC: 5}
-_LAM, _CATCH, _THROW = 6, 7, 8
+_LAM, _CATCH, _THROW, _NO_ANNOT = 6, 7, 8, 9
 
 
 def _alpha_hash(t: Term) -> int:
     """A structural hash of `t` that skips every name, bound or free, so
     alpha-equal terms share it; memoized per node.  It is `Term.__hash__`,
-    and `alpha_eq` settles its collisions.  An unannotated Lam hashes
-    None, whose hash is its address before Python 3.12, so the hash can
-    change between runs: never iterate a set of terms."""
+    and `alpha_eq` settles its collisions.  It hashes only ints, tuples
+    and types, never a string or None (whose hash is its address before
+    Python 3.12), so a term hashes the same in every process."""
     h = t._alpha_hash
     if h is None:
         cls = type(t)
         if cls is App:
             h = hash((_alpha_hash(t.fun), _alpha_hash(t.arg)))
         elif cls is Lam:
-            h = hash((_LAM, t.annot, _alpha_hash(t.body)))
+            annot = _NO_ANNOT if t.annot is None else t.annot
+            h = hash((_LAM, annot, _alpha_hash(t.body)))
         elif cls is Catch:
             h = hash((_CATCH, _alpha_hash(t.body)))
         elif cls is Throw:

@@ -15,6 +15,17 @@ own: its type is its continuation's, which is a catch binder's, checked
 earlier in preorder, or a TypingEnv delta entry, ground and arrow-free
 by construction.
 
+Application.  `f a` is the constraint `f = a -> ?r` (Pottier & Remy,
+"The Essence of ML Type Inference", 2005), solved at once.  When `f`'s
+type is already an arrow whose codomain is not an unsolved
+metavariable, the walk unifies the domain with `a`'s type and returns
+the codomain, and only advances the metavariable counter by one, so
+every later `?n` keeps its number.  This is exact: the full rule would
+bind the fresh `?r`, which nothing else names, to that same codomain,
+after the same unification of the domains.  Otherwise (`f`'s type is a
+metavariable, or an arrow whose codomain is one) it allocates `?r` and
+unifies, so an error prints `?r` where it did.
+
 Closed-term memo.  When `infer` succeeds in the empty environment, it
 stores on the term's node its solved type and the number of
 metavariables its walk allocated (the syntax module's `_type` slot).
@@ -238,8 +249,15 @@ def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
     if cls is App:
         f = _constrain(solver, t.fun, gamma, delta, (where, 0), conds)
         a = _constrain(solver, t.arg, gamma, delta, (where, 1), conds)
-        ty = solver.fresh()
-        solver.unify(f, ArrowType(a, ty), where)
+        f = solver.prune(f)
+        ty = solver.prune(f.cod) if type(f) is ArrowType else None
+        if ty is None or type(ty) is MetaVar:
+            ty = solver.fresh()
+            solver.unify(f, ArrowType(a, ty), where)
+        else:
+            # unifying f with `a -> ?r` would only bind the fresh ?r to ty
+            solver.unify(f.dom, a, where)
+            solver.counter += 1
     elif cls is Var:
         ty = gamma.get(t.name)
         if ty is None:
@@ -256,7 +274,8 @@ def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
         ty = ListType(solver.fresh())
     elif cls is ConsC:
         elem = solver.fresh()
-        ty = ArrowType(elem, ArrowType(ListType(elem), ListType(elem)))
+        lst = ListType(elem)
+        ty = ArrowType(elem, ArrowType(lst, lst))
     elif cls is LrecC:
         res = solver.fresh()
         elem = solver.fresh()

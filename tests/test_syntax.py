@@ -1,8 +1,12 @@
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from lcatch import syntax
 from lcatch.confluence import complete_development
 from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
+from lcatch.prelude import prelude_defs
 from lcatch.reduction import enumerate_redexes
 from lcatch.surface import parse_term
 from lcatch.syntax import (
@@ -216,6 +221,25 @@ def test_nodes_copy_and_pickle():
             hash(t)
             for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
                 assert identical(other, t) and hash(other) == hash(t) and other.value is t.value
+
+
+def test_hashes_are_the_same_in_every_process():
+    # names are skipped and a missing annotation hashes a fixed tag, so no
+    # hash depends on an address or on the string hash seed
+    script = ("from lcatch.prelude import prelude_defs\n"
+              "from lcatch.surface import parse_term\n"
+              "terms = [t for _, t in prelude_defs()] + [parse_term('\\\\x. x')]\n"
+              "print([hash(t) for t in terms])\n")
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": str(Path(syntax.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.append(done.stdout)
+    here = [hash(t) for _, t in prelude_defs()] + [hash(p("\\x. x"))]
+    assert outputs[0] == outputs[1] == f"{here}\n"
 
 
 def test_app_value_flag_follows_its_children():

@@ -488,6 +488,80 @@ def test_pipeline_matches_oracle_on_prelude_definitions():
         assert_same_as_oracle(EMPTY, term)
 
 
+# ------------- the application rule -------------
+# An application whose function type is an arrow with a solved codomain
+# unifies the domain with the argument's type and returns the codomain;
+# only the metavariable counter steps.  The oracle allocates a fresh ?r
+# and unifies with `a -> ?r` every time, so it pins that every type,
+# error and `?n` is unchanged, and its counter pins the step.
+
+
+def _oracle_counter(env, t):
+    solver = _OracleSolver()
+    _oracle_constrain(solver, t, dict(env.gamma), dict(env.delta), ())
+    return solver.counter
+
+
+# prelude functions on numerals and list literals of up to 300 cells, and
+# ill-typed applications of them
+_PRELUDE_APPLICATIONS = (
+    "plus #{n} #3", "plus #3 #{n}", "times #2 #{n}", "pred #{n}", "pred (pred #{n})",
+    "prodz [#2, #{n}, #0]", "prodz [{ones}]", "catch a. plus #{n} (throw a #1)",
+    "(\\x. x) (times #{n})", "plus #{n} (\\x. x)", "pred [{ones}]", "prodz #{n}",
+    "lrec #{n} (\\h. \\t. plus) [{ones}]",
+)
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 300])
+def test_application_rule_matches_oracle_on_prelude_applications(n):
+    defs = list(prelude_defs())
+    ones = ", ".join(["#1"] * n)
+    for src in _PRELUDE_APPLICATIONS:
+        t = copy.deepcopy(expand_term(p(src.format(n=n, ones=ones)), defs))
+        assert_same_as_oracle(EMPTY, t)
+
+
+# each shape of the function's type at an application: an arrow with a
+# solved codomain, an arrow whose codomain is still a bare metavariable,
+# and a bare metavariable; well typed or not, closed or under WIDE's names
+_APPLICATION_SHAPES = (
+    "(\\x: 1. x) ()", "(\\x: 1. [x]) ()", "cons () []", "(\\x: [1]. x) ()",
+    "(\\f. f ()) (\\x. x)", "(\\f. f ()) (\\x: 1. [x])", "(\\f. f ()) ()",
+    "\\f. f ()", "\\f. f (f ())", "\\f. f f", "(\\f. f ()) (\\x: [1]. x)",
+    "(\\g. \\x. g (g x)) (\\y: 1. y) ()", "z y", "z x", "z (z y)", "(\\f. f y) z",
+    "(\\f. f x) z", "catch a. (\\f. f (throw a ())) (\\u. u)", "catch b. z (throw b y)",
+    "lrec () (\\h. \\t. \\r. r) y", "(\\u. \\v. u) () (\\w. w)", "x ()",
+    # the codomain stays unsolved and shows in the error as the oracle's ?r
+    "(\\x: 1. throw a ()) ()", "(\\u. \\v. u) ((\\x: 1. throw a ()) ())",
+    "\\u: 1. (\\w: 1. throw a w) u", "catch k. (\\u. \\v. u) ((\\x: 1. throw k ()) ())",
+)
+
+
+@pytest.mark.parametrize("src", _APPLICATION_SHAPES)
+def test_application_rule_matches_oracle_on_each_function_type_shape(src):
+    for env in (EMPTY, WIDE):
+        assert_same_as_oracle(env, p(src))
+
+
+def test_memo_counts_the_metavariables_the_oracle_allocates():
+    defs = list(prelude_defs())
+    sources = [src.format(n=n, ones=", ".join(["#1"] * n))
+               for src in _PRELUDE_APPLICATIONS for n in (0, 7)]
+    sources += list(_APPLICATION_SHAPES)
+    sources += [print_term(gen_term(GenConfig(seed=seed, max_size=14, typed=True)))
+                for seed in range(100)]
+    closed = 0
+    for src in sources:
+        t = copy.deepcopy(expand_term(p(src), defs))
+        try:
+            infer(EMPTY, t)
+        except TypingError:
+            continue
+        assert t._type[1] == _oracle_counter(EMPTY, t)
+        closed += 1
+    assert closed > 100
+
+
 # ------------- independent derivation replayer -------------
 # Re-validates a typed tree directly against the derivation rules, with no
 # unification: every node type is known, so each rule is a local equality
