@@ -115,11 +115,11 @@ def _position(src: str, index: int) -> tuple[int, int]:
 # Parser
 
 _CLOSE = {"LPAREN": ("RPAREN", "')'"), "LBRACKET": ("RBRACKET", "']'")}
-# The largest numeral built.  Each cons cell keeps about 160 bytes and
-# costs about 9 us through `lcatch eval` (parse, type, print; Python 3.11,
-# 2 shared CPUs), and every command exits 6 on a list of about 950 cells,
-# so a larger numeral would only spend memory.  Its digit count is checked first, so
-# `int` never sees a huge string.
+# The largest numeral built.  Each cons cell keeps 160 bytes and costs
+# about 4 us through `lcatch eval` (parse, type, print; Python 3.11, 2
+# shared CPUs), and no layer takes a host frame per cell, so the cap
+# bounds a numeral's cells at about 160 MB and a few seconds.  Its digit
+# count is checked first, so `int` never sees a huge string.
 _NUMERAL_MAX = 10**6
 
 

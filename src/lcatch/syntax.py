@@ -240,31 +240,31 @@ def lrec(base: Term, step: Term, lst: Term) -> Term:
 
 def children(t: Term) -> tuple[Term, ...]:
     """Child subterms in path-index order (App: fun, arg; binders: body)."""
-    match t:
-        case App(fun, arg):
-            return (fun, arg)
-        case Lam(_, _, body):
-            return (body,)
-        case Catch(_, body):
-            return (body,)
-        case Throw(_, payload):
-            return (payload,)
+    cls = type(t)
+    if cls is App:
+        return (t.fun, t.arg)
+    if cls is Lam or cls is Catch:
+        return (t.body,)
+    if cls is Throw:
+        return (t.payload,)
     return ()
 
 
 def replace_child(t: Term, index: int, new: Term) -> Term:
-    match t, index:
-        case App(_, arg), 0:
-            return App(new, arg)
-        case App(fun, _), 1:
-            return App(fun, new)
-        case Lam(param, annot, _), 0:
-            return Lam(param, annot, new)
-        case Catch(cont, _), 0:
-            return Catch(cont, new)
-        case Throw(cont, _), 0:
-            return Throw(cont, new)
-    raise IndexError(f"no child {index} in {type(t).__name__}")
+    cls = type(t)
+    if cls is App:
+        if index == 0:
+            return App(new, t.arg)
+        if index == 1:
+            return App(t.fun, new)
+    elif index == 0:
+        if cls is Lam:
+            return Lam(t.param, t.annot, new)
+        if cls is Catch:
+            return Catch(t.cont, new)
+        if cls is Throw:
+            return Throw(t.cont, new)
+    raise IndexError(f"no child {index} in {cls.__name__}")
 
 
 def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
@@ -317,21 +317,30 @@ _EMPTY = VarSets(frozenset(), frozenset())
 
 
 def free_vars(t: Term) -> VarSets:
-    """The free term and continuation variables of `t`.  A node whose sets
-    equal a child's shares that child's VarSets."""
+    """The free term and continuation variables of `t`, memoized per node.
+    A node whose sets equal a child's shares that child's VarSets.  It
+    loops down an App's argument spine, so a list of any length costs no
+    host frame per cell; only function positions and binder bodies recurse."""
     out = t._free_vars
     if out is not None:
         return out
     cls = type(t)
     if cls is App:
-        f, a = free_vars(t.fun), free_vars(t.arg)
-        if a.term_vars <= f.term_vars and a.cont_vars <= f.cont_vars:
-            out = f
-        elif f.term_vars <= a.term_vars and f.cont_vars <= a.cont_vars:
-            out = a
-        else:
-            out = VarSets(f.term_vars | a.term_vars, f.cont_vars | a.cont_vars)
-    elif cls is Lam:
+        spine = [t]
+        u = t.arg
+        while type(u) is App and u._free_vars is None:
+            spine.append(u)
+            u = u.arg
+        a = free_vars(u)
+        for u in reversed(spine):
+            f = free_vars(u.fun)
+            if a.term_vars <= f.term_vars and a.cont_vars <= f.cont_vars:
+                a = f
+            elif not (f.term_vars <= a.term_vars and f.cont_vars <= a.cont_vars):
+                a = VarSets(f.term_vars | a.term_vars, f.cont_vars | a.cont_vars)
+            _set_free_vars(u, a)
+        return a
+    if cls is Lam:
         out = free_vars(t.body)
         if t.param in out.term_vars:
             out = VarSets(out.term_vars - {t.param}, out.cont_vars)
@@ -404,27 +413,42 @@ def _subst(u: Term, x: str, r: Term | str, r_free: VarSets) -> Term:
     a str `r` renames a continuation variable; `r_free` is what `r` holds
     free.  A lambda or catch binder that would capture a name of `r_free`
     is freshened first; a subtree without a free `x` is returned as it is.
+    It loops down an App's argument spine while `x` is free in the
+    argument, so a list of any length costs no host frame per cell.
     """
     renaming = type(r) is str
     if x not in (free_vars(u).cont_vars if renaming else free_vars(u).term_vars):
         return u
-    match u:
-        case Var():
-            return r
-        case Lam(param, annot, body):
-            if param in r_free.term_vars:
-                param = fresh_name(param, r_free.term_vars | free_vars(body).term_vars)
-                body = rename_term_var(body, u.param, param)
-            return Lam(param, annot, _subst(body, x, r, r_free))
-        case App(fun, arg):
-            return App(_subst(fun, x, r, r_free), _subst(arg, x, r, r_free))
-        case Catch(cont, body):
-            if cont in r_free.cont_vars:
-                cont = fresh_name(cont, r_free.cont_vars | free_vars(body).cont_vars)
-                body = rename_cont_var(body, u.cont, cont)
-            return Catch(cont, _subst(body, x, r, r_free))
-        case Throw(cont, payload):
-            return Throw(r if renaming and cont == x else cont, _subst(payload, x, r, r_free))
+    cls = type(u)
+    if cls is App:
+        funs = []
+        while True:
+            funs.append(_subst(u.fun, x, r, r_free))
+            u = u.arg
+            if type(u) is not App or x not in (
+                    free_vars(u).cont_vars if renaming else free_vars(u).term_vars):
+                break
+        out = _subst(u, x, r, r_free)
+        for fun in reversed(funs):
+            out = App(fun, out)
+        return out
+    if cls is Var:
+        return r
+    if cls is Lam:
+        param, body = u.param, u.body
+        if param in r_free.term_vars:
+            param = fresh_name(param, r_free.term_vars | free_vars(body).term_vars)
+            body = rename_term_var(body, u.param, param)
+        return Lam(param, u.annot, _subst(body, x, r, r_free))
+    if cls is Catch:
+        cont, body = u.cont, u.body
+        if cont in r_free.cont_vars:
+            cont = fresh_name(cont, r_free.cont_vars | free_vars(body).cont_vars)
+            body = rename_cont_var(body, u.cont, cont)
+        return Catch(cont, _subst(body, x, r, r_free))
+    if cls is Throw:
+        cont = u.cont
+        return Throw(r if renaming and cont == x else cont, _subst(u.payload, x, r, r_free))
     raise ValueError(f"not a term: {u!r}")
 
 
@@ -488,13 +512,23 @@ def _alpha_hash(t: Term) -> int:
     alpha-equal terms share it; memoized per node.  It is `Term.__hash__`,
     and `alpha_eq` settles its collisions.  It hashes only ints, tuples
     and types, never a string or None (whose hash is its address before
-    Python 3.12), so a term hashes the same in every process."""
+    Python 3.12), so a term hashes the same in every process.  Like
+    `free_vars`, it loops down an App's argument spine."""
     h = t._alpha_hash
     if h is None:
         cls = type(t)
         if cls is App:
-            h = hash((_alpha_hash(t.fun), _alpha_hash(t.arg)))
-        elif cls is Lam:
+            spine = [t]
+            u = t.arg
+            while type(u) is App and u._alpha_hash is None:
+                spine.append(u)
+                u = u.arg
+            h = _alpha_hash(u)
+            for u in reversed(spine):
+                h = hash((_alpha_hash(u.fun), h))
+                _set_alpha_hash(u, h)
+            return h
+        if cls is Lam:
             annot = _NO_ANNOT if t.annot is None else t.annot
             h = hash((_LAM, annot, _alpha_hash(t.body)))
         elif cls is Catch:

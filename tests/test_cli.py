@@ -188,7 +188,8 @@ def test_byte_order_mark_inside_a_file_is_a_parse_error(tmp_path):
 
 
 def test_eval_too_deep_exits_with_resource_code():
-    code, _, err = run_cli("eval", "-e", "pred #1000")
+    # binders still nest one host frame a level; list length does not count
+    code, _, err = run_cli("eval", "-e", "catch k. " * 2000 + "()")
     assert code == 6
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
@@ -219,13 +220,37 @@ def test_check_accepts_a_900_deep_nest_used_by_main(tmp_path, binder, type_text)
 
 def test_eval_reaches_the_depth_the_prelude_benchmark_uses():
     # in a fresh interpreter: eval-prelude's deep slice runs pred on 700 to
-    # 750, so a walker that took more frames per level would end this in
-    # exit 6 before the benchmark's known-defect share moved
+    # 750 and plus on #0 and 1500 to 1550, so a walker that took a frame
+    # per cell would end these in exit 6 and move the benchmark's
+    # known-defect share
     env = {**os.environ, "PYTHONPATH": str(Path(lcatch.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "lcatch.cli", "eval", "-e", "pred #950",
-                           "--count"], capture_output=True, text=True, env=env, timeout=60)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "#949\nsteps: 9\n"
+    for expr, out in [("pred #950", "#949\nsteps: 9\n"), ("plus #0 #1550", "#1550\nsteps: 5\n"),
+                      ("pred #20000", "#19999\nsteps: 9\n")]:
+        done = subprocess.run([sys.executable, "-m", "lcatch.cli", "eval", "-e", expr, "--count"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == out
+
+
+# In-process, under the default recursion limit: parse, expand, type,
+# run and print take no host frame per list cell.
+
+
+def test_check_a_definition_holding_a_long_list(tmp_path):
+    target = tmp_path / "long.lc"
+    target.write_text("def units = [" + ", ".join(["()"] * 5000) + "];\n")
+    assert run_cli("check", str(target)) == (0, "units : [1]\n", "")
+
+
+def test_eval_substitutes_into_every_cell_of_a_long_list():
+    expr = "(\\x. [" + ", ".join(["x"] * 3000) + "]) ()"
+    assert run_cli("eval", "--count", "-e", expr) == (0, "#3000\nsteps: 1\n", "")
+
+
+def test_eval_expands_a_definition_into_every_cell_of_a_long_list():
+    expr = "[" + ", ".join(["pred #1"] * 2000) + "]"
+    out = "[" + ", ".join(["#0"] * 2000) + "]\nsteps: 18000\n"
+    assert run_cli("eval", "--count", "-e", expr) == (0, out, "")
 
 
 def test_redexes_on_a_deep_catch_nest():

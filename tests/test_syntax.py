@@ -742,3 +742,26 @@ def test_size_counts_all_nodes():
     assert size(Throw("a", UNIT)) == 2
     assert size(Catch("a", Throw("a", UNIT))) == 3
     assert size(lrec(UNIT, UNIT, Nil())) == 7
+
+
+# ------------- long lists -------------
+# free_vars, hash and subst loop down an App's argument spine, so a list
+# costs no host frame per cell.  These run in-process, under the default
+# recursion limit, on lists a hundred times deeper than it.
+
+LONG = 100_000
+
+
+def test_long_lists_take_no_host_frame_per_cell():
+    assert sys.getrecursionlimit() <= 1000
+    numeral = p(f"#{LONG}")
+    assert free_vars(numeral) == VarSets(frozenset(), frozenset())
+    # x at every head and y at the tail, so substitution walks every cell
+    head, spine = Var("x"), Var("y")
+    for _ in range(LONG):
+        spine = cons(head, spine)
+    assert free_vars(spine) == VarSets(frozenset({"x", "y"}), frozenset())
+    closed = subst(subst(spine, "x", UNIT), "y", Nil())
+    assert fv(closed) == frozenset()
+    assert hash(closed) == hash(numeral)
+    assert closed == numeral

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -12,7 +13,7 @@ from lcatch.surface import (
 )
 from lcatch.syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar, Nil, Term,
-    Throw, Type, UNIT, UNIT_TYPE, UnitType, UnitVal, Var, children, type_has_meta,
+    Throw, Type, UNIT, UNIT_TYPE, UnitType, UnitVal, Var, children, cons, type_has_meta,
 )
 from lcatch.typecheck import (
     ErrorKind, TypingEnv, TypingError, check, derivable, infer, is_arrow_free,
@@ -481,6 +482,10 @@ def test_pipeline_matches_oracle_on_generated_terms(typed, max_size):
         assert_same_as_oracle(EMPTY, t)
         if not typed:
             assert_same_as_oracle(WIDE, t)
+            # at the head and at the tail of a two-cell cons spine
+            for spine in (cons(t, cons(UNIT, Nil())), cons(UNIT, cons(UNIT, t))):
+                assert_same_as_oracle(EMPTY, spine)
+                assert_same_as_oracle(WIDE, spine)
 
 
 def test_pipeline_matches_oracle_on_prelude_definitions():
@@ -543,11 +548,50 @@ def test_application_rule_matches_oracle_on_each_function_type_shape(src):
         assert_same_as_oracle(env, p(src))
 
 
+# ------------- the cons-spine rule -------------
+# A saturated `cons h tl` is typed by `h : T, tl : [T] |- cons h tl : [T]`,
+# a whole spine in one loop; the oracle instantiates cons's scheme and
+# applies it twice at every cell.  The shapes: a mismatch at one cell or
+# at two (the innermost is reported), a tail that is not a list, a spine
+# ending in a variable or a throw, nested lists and an element type left
+# unsolved.
+_CONS_SPINES = (
+    "[(), \\x. x, ()]", "[(), [], \\x. x]", "[y, x, z]",
+    "cons () (\\x. x)", "cons () (cons () y)", "cons x y",
+    "catch a. cons () (throw a #1)", "[[()], [], [(), ()]]", "[[]]",
+    "[(), x, (\\u. u) ()]", "[y, [], #2, z y]", "[[], [()], [\\x. x]]",
+    "cons () (cons [] [])", "cons (\\v. v) (cons (\\w: 1. w) [])",
+    "catch b. [#1, throw b [], y]", "cons () (cons () (\\x. x) ())",
+)
+
+
+@pytest.mark.parametrize("src", _CONS_SPINES)
+def test_cons_spine_rule_matches_oracle(src):
+    for env in (EMPTY, WIDE):
+        assert_same_as_oracle(env, p(src))
+
+
+def test_cons_spines_take_no_host_frame_per_cell():
+    # in-process, under the default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    n = 100_000
+    numeral = p(f"#{n}")
+    assert infer(EMPTY, numeral) == NAT
+    # two steps around each head, one per cell's unification, one for nil
+    assert numeral._type[1] == 3 * n + 1
+    bad = UNIT
+    for _ in range(n):
+        bad = cons(UNIT, bad)
+    with pytest.raises(TypingError) as info:
+        infer(EMPTY, bad)
+    assert info.value.render() == f"Mismatch at {'/1' * (n - 1)}: expected [1], found 1"
+
+
 def test_memo_counts_the_metavariables_the_oracle_allocates():
     defs = list(prelude_defs())
     sources = [src.format(n=n, ones=", ".join(["#1"] * n))
                for src in _PRELUDE_APPLICATIONS for n in (0, 7)]
-    sources += list(_APPLICATION_SHAPES)
+    sources += list(_APPLICATION_SHAPES) + list(_CONS_SPINES)
     sources += [print_term(gen_term(GenConfig(seed=seed, max_size=14, typed=True)))
                 for seed in range(100)]
     closed = 0
@@ -724,6 +768,17 @@ def test_memo_matches_a_memo_free_run_on_multi_definition_programs():
     assert hits > 1000
     assert kinds >= {ErrorKind.MISMATCH, ErrorKind.AMBIGUOUS_TYPE, ErrorKind.OCCURS_CHECK,
                      ErrorKind.UNBOUND_VAR, ErrorKind.NON_ARROW_FREE_CATCH}
+
+
+@pytest.mark.parametrize("main", [
+    "cons () d", "[(), (), d]", "c d", "[d, d]", "c (c d)", "cons (c d) []", "c [[]]",
+])
+def test_cons_spine_stops_at_a_cell_with_a_memo(main):
+    # d is a checked list and c a checked `cons ()`, so the spine meets
+    # memos at a tail and at a cell's `cons h`
+    outcomes, hits = _check_in_order(f"def d = [(), ()]; def c = cons (); main = {main};")
+    assert hits > 0
+    assert outcomes[:2] == [("ok", NAT), ("ok", ArrowType(NAT, NAT))]
 
 
 def test_memo_is_written_only_by_a_successful_closed_infer():
