@@ -1,11 +1,12 @@
 import gc
+import hashlib
 import random
 
 import pytest
 
 from lcatch import metatheory
 from lcatch.metatheory import (
-    GenConfig, PROPERTIES, PropertyReport, _gen_untyped, gen_term, minimize,
+    GenConfig, PROPERTIES, PropertyReport, _draw_untyped, _gen_untyped, gen_term, minimize,
     reduction_graph_status, run_property,
 )
 from lcatch.prelude import prelude_defs
@@ -69,6 +70,26 @@ def test_generator_rule_coverage():
         if len(seen) == len(Rule):
             break
     assert seen == set(Rule)
+
+
+# SHA-256 of the printed draws, one per line, for seeds 0-499: (typed,
+# untyped) per size.  A change to either generator changes these on purpose.
+_DRAW_DIGESTS = {
+    12: ("ef4740102f69dce3bb144e3f022c996a7afe2823367ede9c933f7c1660b33fb4",
+         "c7bd71f299b686cda9bd9315b86574a9d2348ccd33e88c190b417ce114859143"),
+    20: ("9c8e6c74c5d2b6cdac0ff51264152651ae2f5066de81dacbd14df08ddec81725",
+         "c491de74be3b7f2ec062d69818ec3a8f85dcabeca38688a725fac17f92b3ebb4"),
+}
+
+
+@pytest.mark.parametrize("max_size", sorted(_DRAW_DIGESTS))
+def test_draws_are_pinned(max_size):
+    typed, untyped = hashlib.sha256(), hashlib.sha256()
+    for seed in range(500):
+        cfg = GenConfig(seed=seed, max_size=max_size)
+        typed.update(print_term(gen_term(cfg)).encode() + b"\n")
+        untyped.update(print_term(_draw_untyped(random.Random(seed), cfg)).encode() + b"\n")
+    assert (typed.hexdigest(), untyped.hexdigest()) == _DRAW_DIGESTS[max_size]
 
 
 def test_gen_config_validates_max_size():
