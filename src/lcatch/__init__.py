@@ -20,7 +20,7 @@ from .reduction import (
     Outcome, OutcomeKind, ReductionEvent, Rule, contract, enumerate_redexes,
     evaluate, step_cbv,
 )
-from .confluence import complete_development, is_parallel_step, join, parallel_reducts
+from .confluence import complete_development, parallel_reducts
 from .prelude import NamedTerm, NotANumeral, decode_nat, encode_nat, library
 from .metatheory import GenConfig, PropertyReport, gen_term, minimize, run_property
 

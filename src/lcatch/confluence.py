@@ -22,7 +22,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .reduction import Rule, contractum, enumerate_redexes, redex
-from .syntax import App, Catch, Lam, Term, Throw, size
+from .syntax import App, Catch, Lam, Term, Throw, fcv, size
 
 
 # ---------------------------------------------------------------------------
@@ -60,23 +60,35 @@ def _view_redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
 
 
 def complete_development(t: Term) -> Term:
-    """Contract all redexes of `t` simultaneously (Takahashi's witness)."""
-    found = _view_redex(t)
-    if found is not None:
-        rule, slots = found
-        return contractum(rule, t, tuple(complete_development(s) for s in slots))
-    throws = throw_decompositions(t)
-    if throws:
-        # the largest context: its throw's payload is never a throw
-        throw = throws[-1]
-        return Throw(throw.cont, complete_development(throw.payload))
-    match t:
-        case App(fun, arg):
-            return App(complete_development(fun), complete_development(arg))
-        case Catch(cont, body):
-            return Catch(cont, complete_development(body))
-        case Lam(param, annot, body):
-            return Lam(param, annot, complete_development(body))
+    """Contract all redexes of `t` simultaneously (Takahashi's witness),
+    looping down the argument of an App that is no redex and has no throw
+    on its frame spine, so list length costs no host frame."""
+    funs: list[Term] = []
+    while True:
+        found = _view_redex(t)
+        if found is not None:
+            rule, slots = found
+            t = contractum(rule, t, tuple(complete_development(s) for s in slots))
+            break
+        # a throw on the frame spine leaves its continuation free in `t`,
+        # because the spine enters no catch
+        if fcv(t) and (throws := throw_decompositions(t)):
+            # the largest context: its throw's payload is never a throw
+            throw = throws[-1]
+            t = Throw(throw.cont, complete_development(throw.payload))
+            break
+        match t:
+            case App(fun, arg):
+                funs.append(complete_development(fun))
+                t = arg
+                continue
+            case Catch(cont, body):
+                t = Catch(cont, complete_development(body))
+            case Lam(param, annot, body):
+                t = Lam(param, annot, complete_development(body))
+        break
+    for fun in reversed(funs):
+        t = App(fun, t)
     return t
 
 
@@ -124,27 +136,6 @@ def _preds(t: Term) -> list[Term]:
         case App() | Throw() | Catch() | Lam():
             return list(dict.fromkeys(gen()))
     return [t]
-
-
-def is_parallel_step(s: Term, t: Term) -> bool:
-    """True iff `t` is a one-step parallel reduct of `s`, modulo alpha."""
-    return t in parallel_reducts(s)
-
-
-def join(t1: Term, t2: Term, max_rounds: int = 16) -> Optional[Term]:
-    """Search for a common reduct by developing both sides in lockstep.
-
-    Compares the two sides modulo alpha after each round of complete
-    development.  None means the search was exhausted, not that no common
-    reduct exists.
-    """
-    a, b = t1, t2
-    for _ in range(max_rounds + 1):
-        if a == b:
-            return a
-        a = complete_development(a)
-        b = complete_development(b)
-    return None
 
 
 # Caps on `reachable_by_reduction`: breadth-first rounds, reduction events

@@ -18,9 +18,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .confluence import (
-    complete_development, is_parallel_step, parallel_reducts, reachable_by_reduction,
-)
+from .confluence import complete_development, parallel_reducts, reachable_by_reduction
 from .reduction import OutcomeKind, enumerate_redexes, evaluate, step_cbv
 from .surface import print_term, print_type
 from .syntax import (
@@ -35,7 +33,6 @@ from .typecheck import TypingEnv, TypingError, derivable, infer, is_arrow_free
 class GenConfig:
     seed: int = 0
     max_size: int = 20
-    typed: bool = True
     target_type: Optional[Type] = None
 
     def __post_init__(self):
@@ -216,8 +213,6 @@ def _gen_untyped(rng: random.Random, budget: int, depth: int) -> Term:
 
 
 def _gen_with_rng(rng: random.Random, cfg: GenConfig) -> Term:
-    if not cfg.typed:
-        return _gen_untyped(rng, cfg.max_size, 0)
     target = cfg.target_type
     if target is None:
         target = _random_type(rng, depth=2)
@@ -234,7 +229,7 @@ def _gen_with_rng(rng: random.Random, cfg: GenConfig) -> Term:
 
 
 def gen_term(cfg: GenConfig) -> Term:
-    """Deterministic random term for the given configuration."""
+    """Deterministic random closed well-typed term for the given configuration."""
     return _gen_with_rng(random.Random(cfg.seed), cfg)
 
 
@@ -317,7 +312,7 @@ def reduction_graph_status(t: Term, cap: int = GRAPH_NODE_CAP) -> str:
 
 
 def _draw_typed(rng: random.Random, cfg: GenConfig) -> Term:
-    return _gen_with_rng(rng, replace(cfg, typed=True))
+    return _gen_with_rng(rng, cfg)
 
 
 def _draw_untyped(rng: random.Random, cfg: GenConfig) -> Term:
@@ -386,10 +381,9 @@ def _check_pred_subset_redd(t: Term) -> Optional[str]:
 def _steps_to_development(message: str) -> Callable[[Term], Optional[str]]:
     """The check that every parallel reduct steps in parallel to the development."""
     def check(t: Term) -> Optional[str]:
-        reducts = parallel_reducts(t)
         developed = complete_development(t)
-        for u in reducts:
-            if not is_parallel_step(u, developed):
+        for u in parallel_reducts(t):
+            if developed not in parallel_reducts(u):
                 return message.format(print_term(u))
         return None
     return check

@@ -75,10 +75,3 @@ def library() -> tuple[NamedTerm, ...]:
     env = TypingEnv()
     return tuple(NamedTerm(name, term, infer(env, term))
                  for name, term in prelude_defs())
-
-
-def lookup(name: str) -> NamedTerm:
-    for entry in library():
-        if entry.name == name:
-            return entry
-    raise KeyError(name)

@@ -137,25 +137,32 @@ def _plug(frames: Sequence[Frame], t: Term) -> Term:
     return t
 
 
+def _event(frames: list[Frame], rule: Rule, contractum: Term) -> ReductionEvent:
+    # from a list: a tuple built from a generator is resized, which raised peak RSS
+    return ReductionEvent(rule, tuple([index for index, _ in frames]), _plug(frames, contractum))
+
+
 def enumerate_redexes(t: Term) -> list[ReductionEvent]:
-    """One event per contractible position, in leftmost-innermost order."""
+    """One event per contractible position, in leftmost-innermost order, by a
+    postorder loop over a frame stack, so depth costs no host frame."""
     events: list[ReductionEvent] = []
-    _walk_redexes(t, [], (), events)
-    return events
-
-
-def _walk_redexes(u: Term, frames: list[Frame], path: tuple[int, ...],
-                  events: list[ReductionEvent]) -> None:
-    """Append the events of the subterm `u`, which sits in the context
-    `frames` at `path`; each result is the contractum plugged into it."""
-    for i, child in enumerate(children(u)):
-        frames.append((i, u))
-        _walk_redexes(child, frames, path + (i,), events)
-        frames.pop()
-    c = contract(u)
-    if c is not None:
-        rule, result = c
-        events.append(ReductionEvent(rule, path, _plug(frames, result)))
+    frames: list[Frame] = []
+    while True:
+        while kids := children(t):
+            frames.append((0, t))
+            t = kids[0]
+        # `t` is a leaf, which never contracts: finish each node whose
+        # children are done, up to an App whose argument is still to walk
+        while frames:
+            index, t = frames.pop()
+            if index == 0 and type(t) is App:
+                frames.append((1, t))
+                t = t.arg
+                break
+            if (found := contract(t)) is not None:
+                events.append(_event(frames, *found))
+        if not frames:
+            return events
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +202,6 @@ def _decompose(t: Term, frames: list[Frame]
             t = t.body
         else:
             return t, None
-
-
-def _event(frames: list[Frame], rule: Rule, contractum: Term) -> ReductionEvent:
-    return ReductionEvent(rule, tuple(index for index, _ in frames), _plug(frames, contractum))
 
 
 def step_cbv(t: Term) -> Optional[ReductionEvent]:

@@ -362,10 +362,6 @@ def free_vars(t: Term) -> VarSets:
     return out
 
 
-def fv(t: Term) -> frozenset[str]:
-    return free_vars(t).term_vars
-
-
 def fcv(t: Term) -> frozenset[str]:
     return free_vars(t).cont_vars
 
@@ -397,10 +393,6 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 def subst(t: Term, x: str, r: Term) -> Term:
     """Capture-avoiding substitution of `r` for the term variable `x` in `t`."""
     return _subst(t, x, r, free_vars(r))
-
-
-def rename_term_var(t: Term, old: str, new: str) -> Term:
-    return subst(t, old, Var(new))
 
 
 def rename_cont_var(t: Term, old: str, new: str) -> Term:
@@ -438,7 +430,7 @@ def _subst(u: Term, x: str, r: Term | str, r_free: VarSets) -> Term:
         param, body = u.param, u.body
         if param in r_free.term_vars:
             param = fresh_name(param, r_free.term_vars | free_vars(body).term_vars)
-            body = rename_term_var(body, u.param, param)
+            body = subst(body, u.param, Var(param))
         return Lam(param, u.annot, _subst(body, x, r, r_free))
     if cls is Catch:
         cont, body = u.cont, u.body

@@ -95,7 +95,6 @@ class ErrorKind(enum.Enum):
     UNBOUND_CONT_VAR = "UnboundContVar"
     MISMATCH = "Mismatch"
     NON_ARROW_FREE_CATCH = "NonArrowFreeCatch"
-    NON_ARROW_FREE_THROW = "NonArrowFreeThrow"
     AMBIGUOUS_TYPE = "AmbiguousType"
     OCCURS_CHECK = "OccursCheck"
 

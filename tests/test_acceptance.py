@@ -134,7 +134,7 @@ def test_08_strong_normalization_suite():
     small_checked = 0
     seed = 0
     while small_checked < 1000:
-        t = gen_term(GenConfig(seed=seed, max_size=12, typed=True))
+        t = gen_term(GenConfig(seed=seed, max_size=12))
         seed += 1
         if size(t) > 12:
             continue
@@ -144,7 +144,7 @@ def test_08_strong_normalization_suite():
         small_checked += 1
     # fuel-bounded evaluation for 5000 larger typed terms
     for i in range(5000):
-        t = gen_term(GenConfig(seed=100000 + i, max_size=25, typed=True))
+        t = gen_term(GenConfig(seed=100000 + i, max_size=25))
         outcome = evaluate(t, fuel=100000)
         assert outcome.kind is not OutcomeKind.OUT_OF_FUEL, print_term(t)
     _passed(8, "no cycles in 1000 graphs, no fuel exhaustion in 5000 runs")

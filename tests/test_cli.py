@@ -262,6 +262,20 @@ def test_redexes_on_a_deep_catch_nest():
     assert out == f"[catch_3] @ {'/0' * (depth - 1)} -> {'catch a. ' * (depth - 1)}()\n"
 
 
+def test_redexes_and_develop_on_a_long_list():
+    # the lister and the development loop down an argument spine, so list
+    # length costs them no host frame
+    assert run_cli("redexes", "--no-prelude", "-e", "#3000") == (0, "", "")
+    assert run_cli("develop", "--no-prelude", "-e", "#3000") == (0, "#3000\n", "")
+    code, out, err = run_cli("redexes", "-e", "pred #3000")
+    assert (code, err) == (0, "")
+    assert [line.split(" -> ")[0] for line in out.splitlines()] == [
+        "[beta_v] @ /0/0/0/0/0", "[beta_v] @ /"]
+    code, out, err = run_cli("develop", "-e", "pred #3000")
+    assert (code, err) == (0, "")
+    assert out.endswith(" #3000\n")
+
+
 # ------------- unreadable input and out-of-range flags -------------
 
 

@@ -1,13 +1,12 @@
 import pytest
 
-from lcatch.confluence import join
-from lcatch.prelude import (
-    NotANumeral, decode_nat, encode_nat, library, lookup, prelude_defs,
-)
+from lcatch.prelude import NotANumeral, decode_nat, encode_nat, library, prelude_defs
 from lcatch.reduction import OutcomeKind, evaluate
 from lcatch.surface import expand_term, parse_term, print_type
-from lcatch.syntax import Nil, UNIT, cons, fcv, fv
+from lcatch.syntax import Nil, UNIT, cons, free_vars
 from lcatch.typecheck import TypingEnv, check
+
+from test_confluence import join
 
 p = parse_term
 
@@ -60,15 +59,17 @@ def test_library_names():
 def test_library_terms_are_closed_and_typed():
     env = TypingEnv()
     for entry in library():
-        assert not fv(entry.term) and not fcv(entry.term)
+        free = free_vars(entry.term)
+        assert not free.term_vars and not free.cont_vars
         check(env, entry.term, entry.declared_type)
 
 
 def test_library_declared_types():
-    assert print_type(lookup("pred").declared_type) == "[1] -> [1]"
-    assert print_type(lookup("plus").declared_type) == "[1] -> [1] -> [1]"
-    assert print_type(lookup("times").declared_type) == "[1] -> [1] -> [1]"
-    assert print_type(lookup("prodz").declared_type) == "[[1]] -> [1]"
+    declared = {entry.name: entry.declared_type for entry in library()}
+    assert print_type(declared["pred"]) == "[1] -> [1]"
+    assert print_type(declared["plus"]) == "[1] -> [1] -> [1]"
+    assert print_type(declared["times"]) == "[1] -> [1] -> [1]"
+    assert print_type(declared["prodz"]) == "[[1]] -> [1]"
 
 
 # ------------- arithmetic -------------

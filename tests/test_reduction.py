@@ -20,7 +20,7 @@ from lcatch.syntax import (
     children, fcv, is_value, replace_at, subst, subterm_at,
 )
 
-from test_syntax import identical, oracle_canonical
+from test_syntax import draw, identical, oracle_canonical
 
 p = parse_term
 
@@ -142,7 +142,7 @@ def test_root_rules_are_mutually_exclusive():
 @pytest.mark.parametrize("max_size", [8, 14, 20])
 def test_contract_matches_oracle_on_every_subterm(typed, max_size):
     for seed in range(150):
-        t = gen_term(GenConfig(seed=seed, max_size=max_size, typed=typed))
+        t = draw(seed, max_size, typed)
         for sub in _all_subterms(t):
             want = matching_rules(sub)
             assert identical(contract(sub), want[0] if want else None)
@@ -181,7 +181,7 @@ def test_reducts_match_the_pinned_ones():
     cases = json.loads((Path(__file__).parent / "pinned_reducts.json").read_text())
     assert len(cases) == 200
     for case in cases:
-        t = gen_term(GenConfig(seed=case["seed"], max_size=12, typed=False))
+        t = draw(case["seed"], 12, typed=False)
         assert alpha_eq(t, p(case["term"]))
         events = enumerate_redexes(t)
         assert [(e.rule.value, list(e.path)) for e in events] == \
@@ -228,7 +228,7 @@ def postorder_paths(t, path=()):
 def test_enumerate_event_results_are_consistent():
     rng = random.Random(22)
     terms = [_gen_untyped(rng, 12, 0) for _ in range(400)]
-    terms += [gen_term(GenConfig(seed=seed, max_size=20, typed=True)) for seed in range(400)]
+    terms += [gen_term(GenConfig(seed=seed, max_size=20)) for seed in range(400)]
     for t in terms:
         events = enumerate_redexes(t)
         # exactly the positions whose subterm contracts, in postorder
@@ -239,6 +239,46 @@ def test_enumerate_event_results_are_consistent():
             rule, contractum = contract(redex)
             assert rule is event.rule
             assert identical(replace_at(t, event.path, contractum), event.result)
+
+
+def oracle_redexes(t):
+    """The recursive lister: the events of each child's subterm, then the
+    subterm's own, with the path grown one index a level and the contractum
+    put in place by `replace_at`."""
+    events = []
+
+    def walk(u, path):
+        for i, child in enumerate(children(u)):
+            walk(child, path + (i,))
+        found = contract(u)
+        if found is not None:
+            rule, contractum = found
+            events.append(ReductionEvent(rule, path, replace_at(t, path, contractum)))
+
+    walk(t, ())
+    return events
+
+
+@pytest.mark.parametrize("typed", [True, False])
+@pytest.mark.parametrize("max_size", [8, 14, 20])
+def test_enumerate_matches_the_recursive_oracle_on_generated_terms(typed, max_size):
+    for seed in range(150):
+        t = draw(seed, max_size, typed)
+        assert identical(enumerate_redexes(t), oracle_redexes(t))
+
+
+PRELUDE_PROGRAMS = [
+    "plus #3 #2", "times #3 #3", "pred #4", "pred #0", "prodz [#2, #0, #3]",
+    "prodz [#2, #3]", "catch a. plus #2 (throw a #1)",
+]
+
+
+@pytest.mark.parametrize("src", PRELUDE_PROGRAMS)
+def test_enumerate_matches_the_recursive_oracle_on_prelude_programs(src):
+    # the program and every term its run passes through
+    t = expand_term(p(src), list(prelude_defs()))
+    for u in [t] + [event.result for event in evaluate(t, keep_trace=True).trace]:
+        assert identical(enumerate_redexes(u), oracle_redexes(u))
 
 
 # ------------- step_cbv -------------
@@ -282,7 +322,7 @@ def test_step_agrees_with_enumeration():
 def test_step_deterministic_up_to_alpha():
     # stepping an alpha-variant gives an alpha-equal result
     for seed in range(200):
-        t = gen_term(GenConfig(seed=seed, max_size=16, typed=True))
+        t = gen_term(GenConfig(seed=seed, max_size=16))
         e1, e2 = step_cbv(t), step_cbv(oracle_canonical(t))
         assert (e1 is None) == (e2 is None)
         if e1 is not None:
@@ -293,7 +333,7 @@ def test_closed_typed_terms_evaluate_to_values():
     # progress + subject reduction: the machine never gets stuck and, with
     # no free continuations, never ends on a throw
     for seed in range(300):
-        t = gen_term(GenConfig(seed=seed, max_size=16, typed=True))
+        t = gen_term(GenConfig(seed=seed, max_size=16))
         out = evaluate(t)
         assert out.kind is OutcomeKind.VALUE
         assert is_value(out.term)
@@ -302,7 +342,7 @@ def test_closed_typed_terms_evaluate_to_values():
 def test_typed_redex_free_terms_are_values_or_throws():
     # the normal-form lemma, checked over every reduct of generated terms
     for seed in range(200):
-        t = gen_term(GenConfig(seed=seed, max_size=14, typed=True))
+        t = gen_term(GenConfig(seed=seed, max_size=14))
         frontier = [t]
         for _ in range(4):
             nxt = []
@@ -454,16 +494,13 @@ def _assert_same_run(t, fuel):
 @pytest.mark.parametrize("max_size", [8, 14, 20, 30])
 def test_machine_matches_oracle_on_generated_terms(typed, max_size):
     for seed in range(60):
-        t = gen_term(GenConfig(seed=seed, max_size=max_size, typed=typed))
+        t = draw(seed, max_size, typed)
         assert identical(step_cbv(t), oracle_step(t))
         for fuel in (0, 1, 2, 5, 50):
             _assert_same_run(t, fuel)
 
 
-@pytest.mark.parametrize("src", [
-    "plus #3 #2", "times #3 #3", "pred #4", "pred #0", "prodz [#2, #0, #3]",
-    "prodz [#2, #3]", "catch a. plus #2 (throw a #1)",
-])
+@pytest.mark.parametrize("src", PRELUDE_PROGRAMS)
 def test_machine_matches_oracle_on_prelude_programs(src):
     t = expand_term(p(src), list(prelude_defs()))
     _assert_same_run(t, reduction.DEFAULT_FUEL)

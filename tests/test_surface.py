@@ -18,7 +18,7 @@ from lcatch.syntax import (
     Type, UNIT, UNIT_TYPE, UnitVal, Var, alpha_eq, canonical, cons,
 )
 
-from test_syntax import identical
+from test_syntax import draw, identical
 
 p = parse_term
 
@@ -181,7 +181,7 @@ def test_round_trip_untyped_terms():
 
 def test_round_trip_typed_terms():
     for seed in range(300):
-        t = gen_term(GenConfig(seed=seed, max_size=18, typed=True))
+        t = gen_term(GenConfig(seed=seed, max_size=18))
         assert alpha_eq(parse_term(print_term(t)), t)
 
 
@@ -191,7 +191,7 @@ def _round_trip_groups():
     for seed in range(300):
         for max_size in (8, 14, 20):
             for typed in (True, False):
-                t = gen_term(GenConfig(seed=seed, max_size=max_size, typed=typed))
+                t = draw(seed, max_size, typed)
                 yield [t, complete_development(t)] + [e.result for e in enumerate_redexes(t)]
 
 
@@ -572,7 +572,7 @@ def fuzz_inputs(seed: int, count: int) -> list[str]:
     programs = [prelude, prelude + "main = prodz [#4, #0, #9]; -- trailing comment"]
     terms = []
     for k in range(60):
-        typed = gen_term(GenConfig(seed=seed * 1000 + k, max_size=18, typed=True))
+        typed = gen_term(GenConfig(seed=seed * 1000 + k, max_size=18))
         untyped = _gen_untyped(rng, 14, 0)
         terms += [print_term(typed), print_term(untyped, sugar=k % 2 == 0)]
     # half the mutations hit a program, so the definition syntax is fuzzed too

@@ -13,14 +13,14 @@ import pytest
 
 from lcatch import syntax
 from lcatch.confluence import complete_development
-from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
+from lcatch.metatheory import GenConfig, _draw_untyped, _gen_untyped, gen_term
 from lcatch.prelude import prelude_defs
 from lcatch.reduction import enumerate_redexes
 from lcatch.surface import parse_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, Type, UNIT, UnitVal, Var, VarSets,
-    alpha_eq, canonical, children, cons, fcv, free_vars, fresh_name, fv, is_value, lrec,
-    rename_cont_var, rename_term_var, size, subst,
+    alpha_eq, canonical, children, cons, fcv, free_vars, fresh_name, is_value, lrec,
+    rename_cont_var, size, subst,
 )
 
 p = parse_term
@@ -30,6 +30,13 @@ def identical(a, b):
     """Equality that pins every name, bound ones included: `==` on terms is
     alpha-equivalence, while `repr` shows each node's fields as built."""
     return repr(a) == repr(b)
+
+
+def draw(seed, max_size, typed=True):
+    """The typed draw of `gen_term`, or the untyped one of the confluence
+    properties, for one seed."""
+    cfg = GenConfig(seed=seed, max_size=max_size)
+    return gen_term(cfg) if typed else _draw_untyped(random.Random(seed), cfg)
 
 
 # ------------- is_value -------------
@@ -168,7 +175,7 @@ def _node_groups():
         for max_size in (8, 14, 20):
             for typed in (True, False):
                 if typed:
-                    t = gen_term(GenConfig(seed=seed, max_size=max_size, typed=True))
+                    t = gen_term(GenConfig(seed=seed, max_size=max_size))
                 else:
                     t = _gen_untyped(rng, max_size, 0)
                 yield [t, complete_development(t)] + [e.result for e in enumerate_redexes(t)]
@@ -297,7 +304,7 @@ def test_subst_avoids_term_capture():
     out = subst(p("\\y. x y"), "x", Var("y"))
     # the binder must be renamed so the free y survives
     assert alpha_eq(out, p("\\z. y z"))
-    assert "y" in fv(out)
+    assert "y" in free_vars(out).term_vars
 
 
 def test_subst_avoids_continuation_capture():
@@ -321,7 +328,7 @@ def test_subst_removes_the_variable():
     for _ in range(200):
         t = _gen_untyped(rng, 12, 0)
         out = subst(t, "x", UNIT)
-        assert "x" not in fv(out)
+        assert "x" not in free_vars(out).term_vars
 
 
 def test_subst_value_into_value_is_value():
@@ -512,7 +519,7 @@ def _counting_fresh_names(monkeypatch):
 def test_subst_agrees_with_the_two_walker_oracle(monkeypatch):
     bases = _counting_fresh_names(monkeypatch)
     for rng, t, r in _oracle_cases(41, 10000):
-        x = rng.choice(sorted(fv(t)) or _ORACLE_TERM_NAMES)
+        x = rng.choice(sorted(free_vars(t).term_vars) or _ORACLE_TERM_NAMES)
         assert identical(subst(t, x, r), oracle_subst(t, x, r))
     # both binder kinds were freshened, suffixed names included
     assert {"x", "x1", "a", "a1"} <= set(bases)
@@ -616,8 +623,8 @@ def _alpha_variant(t, rng, names=_NAMES):
             return Throw(cont, _alpha_variant(payload, rng, names))
         case Lam(param, annot, body):
             body = _alpha_variant(body, rng, names)
-            new = rng.choice([n for n in names if n == param or n not in fv(body)])
-            return Lam(new, annot, rename_term_var(body, param, new))
+            new = rng.choice([n for n in names if n == param or n not in free_vars(body).term_vars])
+            return Lam(new, annot, subst(body, param, Var(new)))
         case Catch(cont, body):
             body = _alpha_variant(body, rng, names)
             new = rng.choice([n for n in names if n == cont or n not in fcv(body)])
@@ -633,7 +640,7 @@ def _key_groups():
     rng = random.Random(17)
     for seed in range(300):
         if seed % 2:
-            t = gen_term(GenConfig(seed=seed, max_size=14, typed=True))
+            t = gen_term(GenConfig(seed=seed, max_size=14))
         else:
             t = _gen_untyped(rng, 12, 0)
         group = [t, _alpha_variant(t, rng), _alpha_variant(t, rng)]
@@ -709,7 +716,7 @@ def test_canonical_keys_agree_with_alpha_eq_on_form_like_names():
         # binding `!x1` where it is free in t, or binding nothing there
         group = [t, _alpha_variant(t, rng, _FORM_LIKE), _alpha_variant(t, rng, _FORM_LIKE),
                  _form_like_term(rng, 5), Lam("y", None, t),
-                 Lam("y", None, rename_term_var(t, "!x1", "y"))]
+                 Lam("y", None, subst(t, "!x1", Var("y")))]
         for a in group:
             for b in group:
                 assert (canonical(a) == canonical(b)) == alpha_eq(a, b)
@@ -762,6 +769,6 @@ def test_long_lists_take_no_host_frame_per_cell():
         spine = cons(head, spine)
     assert free_vars(spine) == VarSets(frozenset({"x", "y"}), frozenset())
     closed = subst(subst(spine, "x", UNIT), "y", Nil())
-    assert fv(closed) == frozenset()
+    assert free_vars(closed).term_vars == frozenset()
     assert hash(closed) == hash(numeral)
     assert closed == numeral
