@@ -62,8 +62,11 @@ def _view_redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
 def complete_development(t: Term) -> Term:
     """Contract all redexes of `t` simultaneously (Takahashi's witness),
     looping down the argument of an App that is no redex and has no throw
-    on its frame spine, so list length costs no host frame."""
+    on its frame spine, so list length costs no host frame.  The frame
+    spine is walked at most once per loop: under a value function it
+    goes on in the argument, so the argument's is a suffix of it."""
     funs: list[Term] = []
+    no_throw = False    # the frame spine of `t` is known to hold no throw
     while True:
         found = _view_redex(t)
         if found is not None:
@@ -72,14 +75,18 @@ def complete_development(t: Term) -> Term:
             break
         # a throw on the frame spine leaves its continuation free in `t`,
         # because the spine enters no catch
-        if fcv(t) and (throws := throw_decompositions(t)):
-            # the largest context: its throw's payload is never a throw
-            throw = throws[-1]
-            t = Throw(throw.cont, complete_development(throw.payload))
-            break
+        if not no_throw and fcv(t):
+            throws = throw_decompositions(t)
+            if throws:
+                # the largest context: its throw's payload is never a throw
+                throw = throws[-1]
+                t = Throw(throw.cont, complete_development(throw.payload))
+                break
+            no_throw = True
         match t:
             case App(fun, arg):
                 funs.append(complete_development(fun))
+                no_throw = no_throw and fun.value
                 t = arg
                 continue
             case Catch(cont, body):

@@ -13,7 +13,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .surface import SourceProgram, expand_defs, parse_program
-from .syntax import App, ConsC, Nil, Term, Type, UNIT, UnitVal, cons
+from .syntax import App, ConsC, Nil, Term, Type, UnitVal, numeral
 from .typecheck import TypingEnv, infer
 
 
@@ -34,10 +34,7 @@ def encode_nat(n: int) -> Term:
     """suc^n zero; the numeral for n at type [1]."""
     if n < 0:
         raise ValueError("cannot encode a negative number")
-    out: Term = Nil()
-    for _ in range(n):
-        out = cons(UNIT, out)
-    return out
+    return numeral(n)
 
 
 def decode_nat(v: Term) -> int:

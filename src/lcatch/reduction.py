@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .syntax import (
-    App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, children, fcv, lrec,
+    App, Catch, ConsC, LREC, Lam, LrecC, Nil, Term, Throw, children, fcv,
     replace_child, subst,
 )
 
@@ -105,7 +105,11 @@ def contractum(rule: Rule, t: Term, slots: tuple[Term, ...]) -> Term:
         return subst(body, t.fun.param, arg)
     if rule is Rule.LREC_CONS:
         base, step, head, tail = slots
-        return App(App(App(step, head), tail), lrec(base, step, tail))
+        rec = t.fun
+        # the redex's own `lrec base step` when its slots are kept as they are
+        if base is not rec.fun.arg or step is not rec.arg:
+            rec = App(App(LREC, base), step)
+        return App(App(App(step, head), tail), App(rec, tail))
     if rule is Rule.CATCH_1:
         return Catch(t.cont, slots[0])
     if rule is Rule.CATCH_2:

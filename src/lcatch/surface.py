@@ -38,7 +38,8 @@ from typing import Optional
 
 from .syntax import (
     CONS, LREC, App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar,
-    Nil, Term, Throw, Type, UNIT, UNIT_TYPE, UnitVal, Var, cons, subst,
+    Nil, Term, Throw, Type, UNIT, UNIT_TYPE, UnitVal, Var, cons, free_vars,
+    numeral, subst,
 )
 
 
@@ -115,11 +116,14 @@ def _position(src: str, index: int) -> tuple[int, int]:
 # Parser
 
 _CLOSE = {"LPAREN": ("RPAREN", "')'"), "LBRACKET": ("RBRACKET", "']'")}
-# The largest numeral built.  Each cons cell keeps 160 bytes and costs
-# about 4 us through `lcatch eval` (parse, type, print; Python 3.11, 2
+# The largest numeral built.  Its cells share one `cons ()` node, so each
+# keeps one App of 80 bytes (about 117 once typed and hashed) and costs
+# about 2.4 us through `lcatch eval` (parse, type, print; Python 3.11, 2
 # shared CPUs), and no layer takes a host frame per cell, so the cap
-# bounds a numeral's cells at about 160 MB and a few seconds.  Its digit
-# count is checked first, so `int` never sees a huge string.
+# bounds a numeral's cells at about 120 MB and a few seconds: `eval
+# --count -e "plus #0 #1000000"` took 3.3 s and 222 MB peak in one
+# process.  Its digit count is checked first, so `int` never sees a huge
+# string.
 _NUMERAL_MAX = 10**6
 
 
@@ -205,9 +209,7 @@ class _Parser:
                 digits = texts[pos][1:].lstrip("0") or "0"
                 if len(digits) > len(str(_NUMERAL_MAX)) or int(digits) > _NUMERAL_MAX:
                     raise self.error_at(pos, "numeral too large")
-                atom = Nil()
-                for _ in range(int(digits)):
-                    atom = cons(UNIT, atom)
+                atom = numeral(int(digits))
             elif kind == "CONS":
                 atom = CONS
             elif kind == "LREC":
@@ -295,16 +297,17 @@ def expand_defs(prog: SourceProgram) -> list[tuple[str, Term]]:
     """Substitute earlier definitions into later ones, in order."""
     out: list[tuple[str, Term]] = []
     for name, term in prog.defs:
-        for prev_name, prev_term in out:
-            term = subst(term, prev_name, prev_term)
-        out.append((name, term))
+        out.append((name, expand_term(term, out)))
     return out
 
 
 def expand_term(term: Term, defs: list[tuple[str, Term]]) -> Term:
-    """Substitute already-expanded definitions into `term`."""
+    """Substitute already-expanded definitions into `term`.  A definition
+    whose name is not free in the term so far is skipped: `subst` would
+    return the term itself."""
     for name, body in defs:
-        term = subst(term, name, body)
+        if name in free_vars(term).term_vars:
+            term = subst(term, name, body)
     return term
 
 

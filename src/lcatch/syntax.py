@@ -187,6 +187,16 @@ class App(Term):
     def _fields(self) -> tuple:
         return (self.fun, self.arg)
 
+    def __reduce__(self):
+        # the argument spine in a loop, so a list of any length costs copy
+        # and pickle no host frame per cell
+        funs = []
+        u = self
+        while type(u) is App:
+            funs.append(u.fun)
+            u = u.arg
+        return _rebuild_spine, (funs, u)
+
 
 class Catch(Term):
     __slots__ = ("cont", "body")
@@ -232,6 +242,23 @@ LREC = LrecC()
 
 def cons(head: Term, tail: Term) -> Term:
     return App(App(CONS, head), tail)
+
+
+def numeral(n: int) -> Term:
+    """suc^n zero, the numeral for `n` at type [1]: its `n` cells share one
+    `cons ()` node, so each costs one App."""
+    suc = App(CONS, UNIT)
+    out: Term = Nil()
+    for _ in range(n):
+        out = App(suc, out)
+    return out
+
+
+def _rebuild_spine(funs: list[Term], tail: Term) -> Term:
+    """`funs[0] (funs[1] (... tail))`: an App spine as `App.__reduce__` gave it."""
+    for fun in reversed(funs):
+        tail = App(fun, tail)
+    return tail
 
 
 def lrec(base: Term, step: Term, lst: Term) -> Term:

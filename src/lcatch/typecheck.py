@@ -41,8 +41,15 @@ walk, and steps once.  `[T]` zonks as `[?e]` does, so every type, error,
 `?n` and memo count is the scheme path's, and the side conditions come
 in the same preorder.  A tail whose type is `[T]` for the very same `T`
 (each cell of a numeral) needs no unification at all.  The loop stops
-at a cell that has a memo, or whose `cons h` has one, and walks it as a
-tail.  Bare and partially applied `cons` keep the scheme path (the bare
+at a cell that has a memo and walks it as a tail.  A cell whose `cons h`
+has a memo stays in the loop: the memo's type is `[T] -> [T]` and its
+count is `1 + c_h + 1`, the cell's two steps around `h`'s walk, so the
+loop advances the counter by the count and takes `T` from the type.
+This is exact for the reason the closed-term memo below is: `h` is
+closed, `T` is ground, and a walk of `h` would return `T` and add only
+side conditions that pass.  The cells of a numeral share one `cons ()`
+node, so a memo on it must not send each cell into a recursive walk.
+Bare and partially applied `cons` keep the scheme path (the bare
 constant never has a memo: its type is never solved).
 
 Closed-term memo.  When `infer` succeeds in the empty environment, it
@@ -256,9 +263,9 @@ _CATCH = ("catch binder type", ErrorKind.NON_ARROW_FREE_CATCH, "catch bound at")
 
 
 def _is_cell(t: App) -> bool:
-    """`t` is `cons h tl`, and `cons h` has no memo of its own."""
+    """`t` is `cons h tl`."""
     fun = t.fun
-    return type(fun) is App and type(fun.fun) is ConsC and fun._type is None
+    return type(fun) is App and type(fun.fun) is ConsC
 
 
 def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
@@ -275,9 +282,15 @@ def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
         # `[T] = tail type`, innermost first; see "Lists" in the docstring
         cells = []
         while True:
-            solver.counter += 1
-            head = _constrain(solver, t.fun.arg, gamma, delta, ((where, 0), 1), conds)
-            solver.counter += 1
+            memo = t.fun._type
+            if memo is None:
+                solver.counter += 1
+                head = _constrain(solver, t.fun.arg, gamma, delta, ((where, 0), 1), conds)
+                solver.counter += 1
+            else:
+                # `cons h` typed `[T] -> [T]`, its count the cell's `1 + c_h + 1`
+                solver.counter += memo[1]
+                head = memo[0].dom.elem
             cells.append((head, where))
             t, where = t.arg, (where, 1)
             if type(t) is not App or t._type is not None or not _is_cell(t):

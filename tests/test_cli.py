@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 
 import lcatch
+from lcatch import surface
 from lcatch.cli import build_parser, main
+from lcatch.prelude import prelude_defs
+from lcatch.surface import expand_term, parse_term
+from lcatch.syntax import UNIT, UNIT_TYPE, ListType, Nil, cons
+from lcatch.typecheck import TypingEnv, TypingError, infer
 
 
 def run_cli(*argv):
@@ -276,6 +281,49 @@ def test_redexes_and_develop_on_a_long_list():
     assert out.endswith(" #3000\n")
 
 
+def _cons_built(n):
+    """The numeral for `n` built with `cons`, so that no two cells share a node."""
+    out = Nil()
+    for _ in range(n):
+        out = cons(UNIT, out)
+    return out
+
+
+_NUMERAL_PROGRAMS = (
+    "#{n}", "plus #{n} #2", "plus #2 #{n}", "times #2 #{n}", "pred #{n}",
+    "prodz [#2, #{n}, #0]", "prodz [#{n}, #3]", "lrec #{n} (\\h. \\t. plus h) [#1, #{n}]",
+    "plus #{n} (\\x. x)", "catch a. plus #{n} (throw a #{n})", "cons () #{n}",
+)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 12])
+def test_shared_and_cons_built_numerals_agree(monkeypatch, n):
+    # the cells of a parsed numeral share one `cons ()` node; a numeral
+    # built cell by cell types, runs, lists its redexes and develops alike
+    defs = list(prelude_defs())
+
+    def outputs():
+        seen = []
+        for src in _NUMERAL_PROGRAMS:
+            expr = src.format(n=n)
+            t = expand_term(parse_term(expr), defs)
+            try:
+                seen.append((infer(TypingEnv(), t), t._type[1]))
+            except TypingError as error:
+                seen.append(error.render())
+            for argv in (("eval", "--trace"), ("eval", "--count"), ("redexes",), ("develop",)):
+                seen.append(run_cli(*argv, "-e", expr))
+        return seen
+
+    shared = outputs()
+    if n:
+        assert shared[0] == (ListType(UNIT_TYPE), 3 * n + 1)
+    monkeypatch.setattr(surface, "numeral", _cons_built)
+    cells = parse_term("#3")
+    assert cells.fun is not cells.arg.fun
+    assert outputs() == shared
+
+
 # ------------- unreadable input and out-of-range flags -------------
 
 
@@ -294,8 +342,8 @@ def test_numerals_too_large_to_build_are_parse_errors(digits):
 
 
 def test_numerals_are_capped_by_value():
-    # refused before a single cons cell is built; at the cap itself the
-    # parser would spend seconds and 200 MB on cells that no command can use
+    # refused before a single cons cell is built; the cap itself is a
+    # million cells, which `plus #0 #1000000` parses, types and runs
     assert run_cli("eval", "-e", "pred #1000001") == (1, "", "parse error: 1:6: numeral too large\n")
 
 

@@ -135,6 +135,30 @@ def test_develop_walks_a_long_list_in_linear_time(monkeypatch):
     assert calls == 1
 
 
+def test_develop_walks_the_frame_spine_of_a_list_with_a_free_continuation_once(monkeypatch):
+    # every cell holds `a` free, so each passes the `fcv` guard; under a
+    # value function the frame spine goes on in the argument, so the walk
+    # from the first cell covers every later one
+    n = 800
+    t = p("catch a. [" + ", ".join(["\\x. throw a x"] * n) + "]")
+    cells = set()
+    u = t.body
+    while type(u) is App:
+        cells.add(id(u))
+        u = u.arg
+    walked = []
+    real = confluence.throw_decompositions
+
+    def counting(u):
+        if id(u) in cells:
+            walked.append(u)
+        return real(u)
+
+    monkeypatch.setattr(confluence, "throw_decompositions", counting)
+    assert complete_development(t) == t
+    assert walked == [t.body]
+
+
 # ------------- parallel reducts -------------
 
 

@@ -53,6 +53,19 @@ def test_contract_lrec_cons():
     assert alpha_eq(out, p("s () [] (lrec r s [])"))
 
 
+def test_lrec_cons_reuses_the_redex_recursor_node():
+    # the machine and the redex lister contract the view's own slots, so
+    # the recursive call is built on the redex's `lrec base step`;
+    # development passes developed slots and builds a new one
+    t = p("lrec () (\\h. \\t. \\r. r) [(), ()]")
+    for out in (contract(t)[1], step_cbv(t).result, evaluate(t, fuel=1).term,
+                enumerate_redexes(t)[-1].result):
+        assert out.arg.fun is t.fun
+    developed = complete_development(t)
+    assert developed.arg.fun is not t.fun
+    assert identical(developed, contract(t)[1])
+
+
 def test_contract_throw_in_function_position():
     rule, out = contract(App(Throw("a", UNIT), Nil()))
     assert rule is Rule.THROW and out == Throw("a", UNIT)

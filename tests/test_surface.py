@@ -6,6 +6,7 @@ from typing import Optional
 
 import pytest
 
+from lcatch import surface
 from lcatch.confluence import complete_development
 from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
 from lcatch.reduction import enumerate_redexes
@@ -127,6 +128,27 @@ def test_expand_term_uses_scope():
     prog = parse_program("def id = \\x. x;")
     out = expand_term(p("id id"), expand_defs(prog))
     assert alpha_eq(out, p("(\\x. x) (\\x. x)"))
+
+
+def test_expansion_substitutes_only_the_definitions_named_free(monkeypatch):
+    calls = []
+    real = surface.subst
+
+    def counting(t, x, r):
+        calls.append(x)
+        return real(t, x, r)
+
+    monkeypatch.setattr(surface, "subst", counting)
+    prog = parse_program("def a = (); def b = \\x. x; def c = b a; def d = c; def e = [];")
+    defs = expand_defs(prog)
+    assert calls == ["a", "b", "c"]
+    assert defs[1][1] is prog.defs[1][1] and defs[4][1] is prog.defs[4][1]
+    assert identical(defs[3][1], p("(\\x. x) ()"))
+    main = p("d e")
+    calls.clear()
+    assert identical(expand_term(main, defs), p("(\\x. x) () []"))
+    assert calls == ["d", "e"]
+    assert expand_term(defs[2][1], defs) is defs[2][1] and calls == ["d", "e"]
 
 
 def test_empty_program():

@@ -14,13 +14,13 @@ import pytest
 from lcatch import syntax
 from lcatch.confluence import complete_development
 from lcatch.metatheory import GenConfig, _draw_untyped, _gen_untyped, gen_term
-from lcatch.prelude import prelude_defs
+from lcatch.prelude import encode_nat, prelude_defs
 from lcatch.reduction import enumerate_redexes
 from lcatch.surface import parse_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, Type, UNIT, UnitVal, Var, VarSets,
     alpha_eq, canonical, children, cons, fcv, free_vars, fresh_name, is_value, lrec,
-    rename_cont_var, size, subst,
+    numeral, rename_cont_var, size, subst,
 )
 
 p = parse_term
@@ -772,3 +772,32 @@ def test_long_lists_take_no_host_frame_per_cell():
     assert free_vars(closed).term_vars == frozenset()
     assert hash(closed) == hash(numeral)
     assert closed == numeral
+
+
+def _spine_funs(t):
+    funs = []
+    while type(t) is App:
+        funs.append(t.fun)
+        t = t.arg
+    return funs, t
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_every_cell_of_a_numeral_shares_one_cons_unit_node(n):
+    for t in (p(f"#{n}"), encode_nat(n), numeral(n)):
+        funs, tail = _spine_funs(t)
+        assert type(tail) is Nil and len(funs) == n
+        assert all(fun is funs[0] for fun in funs)
+        assert type(funs[0].fun) is ConsC and type(funs[0].arg) is UnitVal
+        assert t == cons(UNIT, numeral(n - 1))
+
+
+def test_long_lists_copy_and_pickle():
+    assert sys.getrecursionlimit() <= 1000
+    items = ["\\x. x", "()", "catch a. throw a [()]", "[#1, (\\y. y) ()]"]
+    for t in (p("#5000"), p("[" + ", ".join(items * 750) + "]")):
+        for other in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert other is not t and other == t and hash(other) == hash(t)
+            # the copy shares what the original shares, by the copier's memo
+            funs, _ = _spine_funs(other)
+            assert len({id(fun) for fun in funs}) == len({id(fun) for fun in _spine_funs(t)[0]})

@@ -771,6 +771,8 @@ def test_memo_matches_a_memo_free_run_on_multi_definition_programs():
 
 @pytest.mark.parametrize("main", [
     "cons () d", "[(), (), d]", "c d", "[d, d]", "c (c d)", "cons (c d) []", "c [[]]",
+    "cons () (c (cons () d))", "c (cons (\\x. x) [])", "catch a. c (throw a #1)",
+    "c (c (\\x. x))", "[(), c d]", "c (c y)",
 ])
 def test_cons_spine_stops_at_a_cell_with_a_memo(main):
     # d is a checked list and c a checked `cons ()`, so the spine meets
@@ -778,6 +780,20 @@ def test_cons_spine_stops_at_a_cell_with_a_memo(main):
     outcomes, hits = _check_in_order(f"def d = [(), ()]; def c = cons (); main = {main};")
     assert hits > 0
     assert outcomes[:2] == [("ok", NAT), ("ok", ArrowType(NAT, NAT))]
+
+
+def test_a_numeral_types_in_a_loop_after_its_cons_unit_has_a_memo():
+    # the cells of `#n` share one `cons ()` node; the cons-spine loop reads
+    # its memo instead of walking each cell as a tail, one frame a cell
+    assert sys.getrecursionlimit() <= 1000
+    n = 5000
+    t = p(f"#{n}")
+    assert infer(EMPTY, t.fun) == ArrowType(NAT, NAT)
+    assert t.fun._type[1] == 2
+    reference = copy.deepcopy(t)
+    assert reference.fun._type is None
+    assert infer(EMPTY, t) == infer(EMPTY, reference) == NAT
+    assert t._type == reference._type == (NAT, 3 * n + 1)
 
 
 def test_memo_is_written_only_by_a_successful_closed_infer():
