@@ -73,12 +73,19 @@ def redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
             return None
         if type(fun) is Lam:
             return Rule.BETA_V, (fun.body, arg)
-        # base, step, head and tail are values because fun and arg are
-        match fun, arg:
-            case App(App(LrecC(), base), _), Nil():
-                return Rule.LREC_NIL, (base,)
-            case App(App(LrecC(), base), step), App(App(ConsC(), head), tail):
-                return Rule.LREC_CONS, (base, step, head, tail)
+        # `lrec base step` applied to `[]` or to `cons head tail`, by type
+        # tests; base, step, head and tail are values because fun and arg are
+        if type(fun) is not App:
+            return None
+        rec = fun.fun
+        if type(rec) is not App or type(rec.fun) is not LrecC:
+            return None
+        if type(arg) is Nil:
+            return Rule.LREC_NIL, (rec.arg,)
+        if type(arg) is App:
+            cell = arg.fun
+            if type(cell) is App and type(cell.fun) is ConsC:
+                return Rule.LREC_CONS, (rec.arg, fun.arg, cell.arg, arg.arg)
         return None
     if cls is Catch:
         cont, body = t.cont, t.body

@@ -75,6 +75,11 @@ class Term:
     `_alpha_hash`, so a dict or set of terms dedupes alpha-variants and
     keeps the first one inserted.  `repr` stays structural and shows every
     name.  Assigning or deleting any attribute raises AttributeError.
+
+    A node is built on its class's mutable twin (`_mutable_twin`) with plain
+    attribute stores, its fields and its memos set to None, and is then
+    frozen by assigning its public class to `__class__`; a caller never
+    sees a twin.
     """
 
     __slots__ = ("_free_vars", "_alpha_hash", "_type")
@@ -83,8 +88,12 @@ class Term:
     # not, and App decides when it is built.
     value = True
 
-    def __init__(self):
-        _clear_memos(self)
+    def __new__(cls):
+        # the constants, which have no fields
+        t = _new(_MUTABLE_CONSTANT[cls])
+        t._free_vars = t._alpha_hash = t._type = None
+        t.__class__ = cls
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -105,20 +114,24 @@ class Term:
         return type(self), self._fields()
 
     def __repr__(self) -> str:
-        # a loop, not a generator, so a nested repr costs one frame a level
+        # an App's argument spine in a loop, as App.__reduce__ walks it, so
+        # a list of any length costs no host frame per cell; other fields
+        # in a loop, not a generator, so a nested repr costs one frame a level
+        parts = []
+        t = self
+        while type(t) is App:
+            parts.append(f"App(fun={t.fun!r}, arg=")
+            t = t.arg
         fields = []
-        for name, value in zip(self.__match_args__, self._fields()):
+        for name, value in zip(t.__match_args__, t._fields()):
             fields.append(f"{name}={value!r}")
-        return f"{type(self).__name__}({', '.join(fields)})"
+        parts.append(f"{type(t).__name__}({', '.join(fields)})")
+        parts.append(")" * (len(parts) - 1))
+        return "".join(parts)
 
 
-def _clear_memos(t: Term) -> None:
-    _set_free_vars(t, None)
-    _set_alpha_hash(t, None)
-    _set_type(t, None)
-
-
-# Fields and memos are written once, through their slot descriptors.
+_new = object.__new__
+# Memos are written once, after construction, through their slot descriptors.
 _set_free_vars = Term._free_vars.__set__
 _set_alpha_hash = Term._alpha_hash.__set__
 _set_type = Term._type.__set__
@@ -128,9 +141,12 @@ class Var(Term):
     __slots__ = ("name",)
     __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        _var_name(self, name)
-        _clear_memos(self)
+    def __new__(cls, name: str):
+        t = _new(_MutableVar)
+        t.name = name
+        t._free_vars = t._alpha_hash = t._type = None
+        t.__class__ = Var
+        return t
 
     def _fields(self) -> tuple:
         return (self.name,)
@@ -160,11 +176,14 @@ class Lam(Term):
     __slots__ = ("param", "annot", "body")
     __match_args__ = ("param", "annot", "body")
 
-    def __init__(self, param: str, annot: Optional[Type], body: Term):
-        _lam_param(self, param)
-        _lam_annot(self, annot)
-        _lam_body(self, body)
-        _clear_memos(self)
+    def __new__(cls, param: str, annot: Optional[Type], body: Term):
+        t = _new(_MutableLam)
+        t.param = param
+        t.annot = annot
+        t.body = body
+        t._free_vars = t._alpha_hash = t._type = None
+        t.__class__ = Lam
+        return t
 
     def _fields(self) -> tuple:
         return (self.param, self.annot, self.body)
@@ -177,12 +196,15 @@ class App(Term):
     __slots__ = ("fun", "arg", "value")
     __match_args__ = ("fun", "arg")
 
-    def __init__(self, fun: Term, arg: Term):
-        _app_fun(self, fun)
-        _app_arg(self, arg)
-        _app_value(self, arg.value and (
-            type(fun) in _PARTIAL or type(fun) is App and fun.value and type(fun.fun) in _PARTIAL))
-        _clear_memos(self)
+    def __new__(cls, fun: Term, arg: Term):
+        t = _new(_MutableApp)
+        t.fun = fun
+        t.arg = arg
+        t.value = arg.value and (
+            type(fun) in _PARTIAL or type(fun) is App and fun.value and type(fun.fun) in _PARTIAL)
+        t._free_vars = t._alpha_hash = t._type = None
+        t.__class__ = App
+        return t
 
     def _fields(self) -> tuple:
         return (self.fun, self.arg)
@@ -203,10 +225,13 @@ class Catch(Term):
     __match_args__ = ("cont", "body")
     value = False
 
-    def __init__(self, cont: str, body: Term):
-        _catch_cont(self, cont)
-        _catch_body(self, body)
-        _clear_memos(self)
+    def __new__(cls, cont: str, body: Term):
+        t = _new(_MutableCatch)
+        t.cont = cont
+        t.body = body
+        t._free_vars = t._alpha_hash = t._type = None
+        t.__class__ = Catch
+        return t
 
     def _fields(self) -> tuple:
         return (self.cont, self.body)
@@ -217,20 +242,29 @@ class Throw(Term):
     __match_args__ = ("cont", "payload")
     value = False
 
-    def __init__(self, cont: str, payload: Term):
-        _throw_cont(self, cont)
-        _throw_payload(self, payload)
-        _clear_memos(self)
+    def __new__(cls, cont: str, payload: Term):
+        t = _new(_MutableThrow)
+        t.cont = cont
+        t.payload = payload
+        t._free_vars = t._alpha_hash = t._type = None
+        t.__class__ = Throw
+        return t
 
     def _fields(self) -> tuple:
         return (self.cont, self.payload)
 
 
-_var_name = Var.name.__set__
-_lam_param, _lam_annot, _lam_body = Lam.param.__set__, Lam.annot.__set__, Lam.body.__set__
-_app_fun, _app_arg, _app_value = App.fun.__set__, App.arg.__set__, App.value.__set__
-_catch_cont, _catch_body = Catch.cont.__set__, Catch.body.__set__
-_throw_cont, _throw_payload = Throw.cont.__set__, Throw.payload.__set__
+def _mutable_twin(cls: type) -> type:
+    """The class a `cls` node is built on: a subclass that adds no slots, so
+    it has `cls`'s layout and a node may move between the two by
+    `__class__` assignment, and whose attribute stores are plain ones."""
+    return type(f"_Mutable{cls.__name__}", (cls,), {
+        "__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__})
+
+
+_MUTABLE_CONSTANT = {cls: _mutable_twin(cls) for cls in (UnitVal, Nil, ConsC, LrecC)}
+_MutableVar, _MutableLam, _MutableApp, _MutableCatch, _MutableThrow = map(
+    _mutable_twin, (Var, Lam, App, Catch, Throw))
 # The constants that stay values when applied to up to two values.
 _PARTIAL = (ConsC, LrecC)
 
@@ -312,9 +346,12 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 
 # Per-node memos.  Terms are immutable and share subtrees heavily, so
 # evaluation and the confluence checks revisit the same nodes many times.
-# Every node declares one slot per memo and sets it to None when it is
-# built; None means "not computed yet", and the first call computes the
-# memo and writes it once through the slot's descriptor.  The three memos:
+# Every node declares one slot per memo, and its class's `__new__` stores
+# None in each, with plain stores on the mutable twin, before it freezes
+# the node.  None means "not computed yet", and the first call computes the
+# memo and writes it once through the slot's descriptor (`_set_free_vars`,
+# `_set_alpha_hash`, `_set_type`), since the frozen node refuses plain
+# stores.  The three memos:
 #   _free_vars   free_vars
 #   _alpha_hash  Term.__hash__: a structural hash that skips every name
 #   _type        typecheck.infer: (type, metavariables its walk allocated)

@@ -170,6 +170,9 @@ SIDE_CONDITION_TERMS = [
     "lrec r ((\\x. x) ()) []", "lrec r s (cons (throw a ()) [])", "lrec r s (cons () t)",
     "lrec r s ()", "lrec (throw a ()) s []", "(\\x. x) (throw a ())", "x (throw a ())",
     "(x y) (throw a ())", "throw a throw b ()", "cons (throw a ()) []",
+    # values with the wrong head constant at some level of the lrec patterns
+    "lrec r s (cons ())", "lrec r s (lrec r s)", "lrec r s (lrec r)", "lrec r s cons",
+    "lrec r s (\\x. x)", "cons r s []", "cons r s (cons () [])",
 ]
 
 

@@ -15,12 +15,12 @@ from lcatch import syntax
 from lcatch.confluence import complete_development
 from lcatch.metatheory import GenConfig, _draw_untyped, _gen_untyped, gen_term
 from lcatch.prelude import encode_nat, prelude_defs
-from lcatch.reduction import enumerate_redexes
+from lcatch.reduction import Rule, contractum, enumerate_redexes, redex
 from lcatch.surface import parse_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, Type, UNIT, UnitVal, Var, VarSets,
     alpha_eq, canonical, children, cons, fcv, free_vars, fresh_name, is_value, lrec,
-    numeral, rename_cont_var, size, subst,
+    numeral, rename_cont_var, replace_child, size, subst,
 )
 
 p = parse_term
@@ -228,6 +228,56 @@ def test_nodes_copy_and_pickle():
             hash(t)
             for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
                 assert identical(other, t) and hash(other) == hash(t) and other.value is t.value
+
+
+NODE_CLASSES = (Var, UnitVal, Nil, ConsC, LrecC, Lam, App, Catch, Throw)
+
+
+def _check_built(result, *inputs):
+    """Every node of `result` is of a public class, never a mutable twin,
+    and each node that is not one of `inputs`' or a shared constant holds
+    no memo.  Returns how many nodes were new."""
+    old = {id(u) for t in (*inputs, UNIT, syntax.CONS, syntax.LREC) for u in _subterms(t)}
+    new = 0
+    for u in _subterms(result):
+        assert type(u) in NODE_CLASSES, type(u)
+        if id(u) not in old:
+            assert (u._free_vars, u._alpha_hash, u._type) == (None, None, None), u
+            new += 1
+    return new
+
+
+def test_built_nodes_are_public_and_memo_free():
+    leaves = [Var("x"), UnitVal(), Nil(), ConsC(), LrecC()]
+    direct = leaves + [Lam("x", None, Var("x")), App(ConsC(), UnitVal()),
+                       Catch("a", UnitVal()), Throw("a", Nil())]
+    assert {type(t) for t in direct} == set(NODE_CLASSES)
+    built = direct + [numeral(3), p("\\x: [1]. catch a. lrec () (\\h. h) [x, #2, throw a ()]")]
+    for t in built:
+        assert _check_built(t) > 0
+    # the inputs' memos are filled, so a rebuilt node shows if it kept one
+    t = p("\\y. catch a. throw a (cons (\\z. y z) [y])")
+    hash(t), fcv(t)
+    for u in _subterms(t):
+        for i, child in enumerate(children(u)):
+            assert _check_built(replace_child(u, i, Nil()), u) == 2
+    r = p("\\w. w")
+    assert _check_built(subst(t.body, "y", r), t, r) > 0
+    t = p("throw a (throw a ())")
+    assert _check_built(rename_cont_var(t, "a", "b"), t) == 2
+    rules = set()
+    for src in ("(\\x. cons x x) ()", "lrec () s []", "lrec () (\\h. h) [()]",
+                "catch a. throw a ()", "catch a. throw b ()", "catch a. \\x. x",
+                "(throw a ()) ()", "() (throw a ())", "throw b (throw a ())"):
+        t = p(src)
+        rule, slots = redex(t)
+        rules.add(rule)
+        _check_built(contractum(rule, t, slots), t)
+    assert rules == set(Rule)
+    for t in built:
+        hash(t), fcv(t)
+        for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            _check_built(other, *children(t))
 
 
 def test_hashes_are_the_same_in_every_process():
@@ -772,6 +822,18 @@ def test_long_lists_take_no_host_frame_per_cell():
     assert free_vars(closed).term_vars == frozenset()
     assert hash(closed) == hash(numeral)
     assert closed == numeral
+
+
+def test_repr_of_a_two_cell_list():
+    assert repr(cons(UNIT, cons(Nil(), Nil()))) == (
+        "App(fun=App(fun=ConsC(), arg=UnitVal()), arg=App(fun=App(fun=ConsC(), arg=Nil()), "
+        "arg=Nil()))")
+
+
+def test_repr_of_a_long_list_takes_no_host_frame_per_cell():
+    assert sys.getrecursionlimit() <= 1000
+    cell = "App(fun=App(fun=ConsC(), arg=UnitVal()), arg="
+    assert repr(p(f"#{LONG}")) == cell * LONG + "Nil()" + ")" * LONG
 
 
 def _spine_funs(t):
