@@ -9,8 +9,7 @@ property-based test bench for the calculus' metatheory.
 
 from .syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar, Nil, Term,
-    Throw, Type, UnitType, UnitVal, Var, alpha_eq, free_vars, is_value, size,
-    subst,
+    Throw, Type, UnitType, UnitVal, Var, alpha_eq, free_vars, size, subst,
 )
 from .surface import ParseError, SourceProgram, parse_program, parse_term, print_term, print_type
 from .typecheck import (

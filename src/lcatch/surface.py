@@ -342,10 +342,32 @@ _CONSTANTS = {UnitVal: "()", ConsC: "cons", LrecC: "lrec"}
 def _fmt(u: Term, ctx: int, sugar: bool) -> str:
     cls = type(u)
     if cls is App:
-        fun = u.fun
-        if type(fun) is App and type(fun.fun) is ConsC:
-            return _fmt_cons(u, ctx, sugar)
-        s = f"{_fmt(fun, _FUN, sugar)} {_fmt(u.arg, _ARG, sugar)}"
+        # the argument spine `f1 (f2 (... u))` in one loop, so its length
+        # costs no host frame, with a run of `cons h` down to nil at its
+        # bottom as a list literal; the common `f a` has no spine to walk
+        arg_cls = type(u.arg)
+        if arg_cls is not App and arg_cls is not Nil:
+            s = f"{_fmt(u.fun, _FUN, sugar)} {_fmt(u.arg, _ARG, sugar)}"
+            return s if ctx != _ARG else f"({s})"
+        funs = []
+        while cls is App:
+            funs.append(u.fun)
+            u = u.arg
+            cls = type(u)
+        if cls is Nil:
+            n = len(funs)
+            while n and type(f := funs[n - 1]) is App and type(f.fun) is ConsC:
+                n -= 1
+            if sugar and all(type(f.arg) is UnitVal for f in funs[n:]):
+                tail = f"#{len(funs) - n}"
+            else:
+                tail = "[" + ", ".join([_fmt(f.arg, _TOP, sugar) for f in funs[n:]]) + "]"
+            if not n:
+                return tail
+            del funs[n:]
+        else:
+            tail = _fmt(u, _ARG, sugar)
+        s = " (".join([_fmt(f, _FUN, sugar) for f in funs]) + f" {tail}" + ")" * (len(funs) - 1)
         return s if ctx != _ARG else f"({s})"
     if cls is Var:
         return u.name
@@ -364,19 +386,3 @@ def _fmt(u: Term, ctx: int, sugar: bool) -> str:
     else:
         raise ValueError(f"not a term: {u!r}")
     return s if ctx == _TOP else f"({s})"
-
-
-def _fmt_cons(u: Term, ctx: int, sugar: bool) -> str:
-    """A cons cell: a list literal if its chain ends in nil, else nested
-    `cons h t` applications.  The chain is walked once."""
-    heads = []
-    while type(u) is App and type(u.fun) is App and type(u.fun.fun) is ConsC:
-        heads.append(u.fun.arg)
-        u = u.arg
-    if type(u) is Nil:
-        if sugar and all(type(h) is UnitVal for h in heads):
-            return f"#{len(heads)}"
-        return "[" + ", ".join([_fmt(h, _TOP, sugar) for h in heads]) + "]"
-    cells = [f"cons {_fmt(h, _ARG, sugar)} " for h in heads]
-    s = "(".join(cells) + _fmt(u, _ARG, sugar) + ")" * (len(cells) - 1)
-    return s if ctx != _ARG else f"({s})"

@@ -26,8 +26,7 @@ class Type:
 
 @dataclass(frozen=True)
 class UnitType(Type):
-    def __repr__(self) -> str:
-        return "UnitType()"
+    pass
 
 
 @dataclass(frozen=True)
@@ -101,17 +100,15 @@ class Term:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _fields(self) -> tuple:
-        return ()
-
     def __eq__(self, other):
         if not isinstance(other, Term):
             return NotImplemented
         return alpha_eq(self, other)
 
     def __reduce__(self):
-        # copy and pickle rebuild the node from its fields, memos cleared
-        return type(self), self._fields()
+        # copy and pickle rebuild the node from the fields its
+        # `__match_args__` names, memos cleared
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
     def __repr__(self) -> str:
         # an App's argument spine in a loop, as App.__reduce__ walks it, so
@@ -123,8 +120,8 @@ class Term:
             parts.append(f"App(fun={t.fun!r}, arg=")
             t = t.arg
         fields = []
-        for name, value in zip(t.__match_args__, t._fields()):
-            fields.append(f"{name}={value!r}")
+        for name in t.__match_args__:
+            fields.append(f"{name}={getattr(t, name)!r}")
         parts.append(f"{type(t).__name__}({', '.join(fields)})")
         parts.append(")" * (len(parts) - 1))
         return "".join(parts)
@@ -147,9 +144,6 @@ class Var(Term):
         t._free_vars = t._alpha_hash = t._type = None
         t.__class__ = Var
         return t
-
-    def _fields(self) -> tuple:
-        return (self.name,)
 
 
 class UnitVal(Term):
@@ -185,9 +179,6 @@ class Lam(Term):
         t.__class__ = Lam
         return t
 
-    def _fields(self) -> tuple:
-        return (self.param, self.annot, self.body)
-
 
 class App(Term):
     """An application.  It is a value iff its argument is and its function
@@ -205,9 +196,6 @@ class App(Term):
         t._free_vars = t._alpha_hash = t._type = None
         t.__class__ = App
         return t
-
-    def _fields(self) -> tuple:
-        return (self.fun, self.arg)
 
     def __reduce__(self):
         # the argument spine in a loop, so a list of any length costs copy
@@ -233,9 +221,6 @@ class Catch(Term):
         t.__class__ = Catch
         return t
 
-    def _fields(self) -> tuple:
-        return (self.cont, self.body)
-
 
 class Throw(Term):
     __slots__ = ("cont", "payload")
@@ -249,9 +234,6 @@ class Throw(Term):
         t._free_vars = t._alpha_hash = t._type = None
         t.__class__ = Throw
         return t
-
-    def _fields(self) -> tuple:
-        return (self.cont, self.payload)
 
 
 def _mutable_twin(cls: type) -> type:
@@ -342,16 +324,15 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Values
+# Per-node memos
 
-# Per-node memos.  Terms are immutable and share subtrees heavily, so
-# evaluation and the confluence checks revisit the same nodes many times.
-# Every node declares one slot per memo, and its class's `__new__` stores
-# None in each, with plain stores on the mutable twin, before it freezes
-# the node.  None means "not computed yet", and the first call computes the
-# memo and writes it once through the slot's descriptor (`_set_free_vars`,
-# `_set_alpha_hash`, `_set_type`), since the frozen node refuses plain
-# stores.  The three memos:
+# Terms are immutable and share subtrees heavily, so evaluation and the
+# confluence checks revisit the same nodes many times.  Every node declares
+# one slot per memo, and its class's `__new__` stores None in each, with
+# plain stores on the mutable twin, before it freezes the node.  None means
+# "not computed yet", and the first call computes the memo and writes it
+# once through the slot's descriptor (`_set_free_vars`, `_set_alpha_hash`,
+# `_set_type`), since the frozen node refuses plain stores.  The three memos:
 #   _free_vars   free_vars
 #   _alpha_hash  Term.__hash__: a structural hash that skips every name
 #   _type        typecheck.infer: (type, metavariables its walk allocated)
@@ -361,10 +342,6 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 # No memo may refer to the node that holds it, directly or through the
 # terms it holds.  A dropped term and everything its memos hold are then
 # freed by reference counting, without waiting for the cyclic collector.
-
-
-def is_value(t: Term) -> bool:
-    return t.value
 
 
 # ---------------------------------------------------------------------------

@@ -41,16 +41,8 @@ walk, and steps once.  `[T]` zonks as `[?e]` does, so every type, error,
 `?n` and memo count is the scheme path's, and the side conditions come
 in the same preorder.  A tail whose type is `[T]` for the very same `T`
 (each cell of a numeral) needs no unification at all.  The loop stops
-at a cell that has a memo and walks it as a tail.  A cell whose `cons h`
-has a memo stays in the loop: the memo's type is `[T] -> [T]` and its
-count is `1 + c_h + 1`, the cell's two steps around `h`'s walk, so the
-loop advances the counter by the count and takes `T` from the type.
-This is exact for the reason the closed-term memo below is: `h` is
-closed, `T` is ground, and a walk of `h` would return `T` and add only
-side conditions that pass.  The cells of a numeral share one `cons ()`
-node, so a memo on it must not send each cell into a recursive walk.
-Bare and partially applied `cons` keep the scheme path (the bare
-constant never has a memo: its type is never solved).
+at a cell that has a memo and walks it as a tail.  Bare and partially
+applied `cons` keep the scheme path.
 
 Closed-term memo.  When `infer` succeeds in the empty environment, it
 stores on the term's node its solved type and the number of
@@ -282,15 +274,9 @@ def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
         # `[T] = tail type`, innermost first; see "Lists" in the docstring
         cells = []
         while True:
-            memo = t.fun._type
-            if memo is None:
-                solver.counter += 1
-                head = _constrain(solver, t.fun.arg, gamma, delta, ((where, 0), 1), conds)
-                solver.counter += 1
-            else:
-                # `cons h` typed `[T] -> [T]`, its count the cell's `1 + c_h + 1`
-                solver.counter += memo[1]
-                head = memo[0].dom.elem
+            solver.counter += 1
+            head = _constrain(solver, t.fun.arg, gamma, delta, ((where, 0), 1), conds)
+            solver.counter += 1
             cells.append((head, where))
             t, where = t.arg, (where, 1)
             if type(t) is not App or t._type is not None or not _is_cell(t):

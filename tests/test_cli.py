@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -235,6 +236,20 @@ def test_eval_reaches_the_depth_the_prelude_benchmark_uses():
                               capture_output=True, text=True, env=env, timeout=60)
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == out
+
+
+def test_eval_prints_a_deep_out_of_fuel_term():
+    # in a fresh interpreter: the term left when the fuel runs out nests
+    # about 20,000 continuations `(\y. cons () y) (...)` in argument
+    # position, which the printer walks in a loop.  The digest is of the
+    # output a recursive printer gave under a raised recursion limit.
+    env = {**os.environ, "PYTHONPATH": str(Path(lcatch.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "lcatch.cli", "eval", "-e", "times #2 #20000"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (4, "out of fuel after 100000 steps\n")
+    assert done.stdout.startswith("(\\y. cons () y) ((\\y. cons () y) (")
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "a155612f3abc61fb1036ea0bedf6a3b74c8aaa01a430f1d13a056b446fd7330f")
 
 
 # In-process, under the default recursion limit: parse, expand, type,

@@ -12,7 +12,7 @@ from lcatch.reduction import enumerate_redexes
 from lcatch.surface import parse_term, print_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, Var, alpha_eq, canonical,
-    fcv, free_vars, is_value, subst, subterm_at,
+    fcv, free_vars, subst, subterm_at,
 )
 
 from test_syntax import draw, identical
@@ -38,7 +38,7 @@ def _spine_throws(t):
     out, path = [], ()
     while True:
         match t:
-            case App(fun, arg) if is_value(fun):
+            case App(fun, arg) if fun.value:
                 t, path = arg, path + (1,)
             case App(fun, _):
                 t, path = fun, path + (0,)
@@ -254,10 +254,10 @@ def test_diamond_property_witnessed_by_development():
 
 def test_values_parallel_reduce_to_values():
     for t in _random_terms(400, seed=37):
-        if not is_value(t):
+        if not t.value:
             continue
         for u in parallel_reducts(t):
-            assert is_value(u)
+            assert u.value
 
 
 def test_free_variable_monotonicity_under_parallel_reduction():
@@ -317,7 +317,7 @@ def oracle_throws(t):
     while True:
         match t:
             case App(fun, arg):
-                t = arg if is_value(fun) else fun
+                t = arg if fun.value else fun
             case Throw(_, payload):
                 out.append(t)
                 t = payload
@@ -328,13 +328,13 @@ def oracle_throws(t):
 def oracle_development(t):
     """Complete development with each rule's pattern matched on its own."""
     match t:
-        case App(Lam(param, _, body), arg) if is_value(arg):
+        case App(Lam(param, _, body), arg) if arg.value:
             return subst(oracle_development(body), param, oracle_development(arg))
         case App(App(App(LrecC(), base), step), Nil()) \
-                if is_value(base) and is_value(step):
+                if base.value and step.value:
             return oracle_development(base)
         case App(App(App(LrecC(), base), step), App(App(ConsC(), head), tail)) \
-                if is_value(base) and is_value(step) and is_value(head) and is_value(tail):
+                if base.value and step.value and head.value and tail.value:
             b, s = oracle_development(base), oracle_development(step)
             h, tl = oracle_development(head), oracle_development(tail)
             return App(App(App(s, h), tl), App(App(App(LrecC(), b), s), tl))
@@ -350,9 +350,9 @@ def oracle_development(t):
         case Catch(cont, Throw(cont2, payload)) if cont2 == cont:
             return Catch(cont, oracle_development(payload))
         case Catch(cont, Throw(cont2, payload)) \
-                if cont2 != cont and is_value(payload) and cont not in fcv(payload):
+                if cont2 != cont and payload.value and cont not in fcv(payload):
             return Throw(cont2, oracle_development(payload))
-        case Catch(cont, body) if is_value(body) and cont not in fcv(body):
+        case Catch(cont, body) if body.value and cont not in fcv(body):
             return oracle_development(body)
         case Catch(cont, body):
             return Catch(cont, oracle_development(body))
@@ -381,18 +381,18 @@ def oracle_preds(t):
                     for a in arg_reducts:
                         yield App(f, a)
                 match fun:
-                    case Lam(param, _, body) if is_value(arg):
+                    case Lam(param, _, body) if arg.value:
                         for b in oracle_preds(body):
                             for a in arg_reducts:
                                 yield subst(b, param, a)
                 match t:
                     case App(App(App(LrecC(), base), step), Nil()) \
-                            if is_value(base) and is_value(step):
+                            if base.value and step.value:
                         yield from oracle_preds(base)
                     case App(App(App(LrecC(), base), step),
                              App(App(ConsC(), head), tail)) \
-                            if is_value(base) and is_value(step) \
-                            and is_value(head) and is_value(tail):
+                            if base.value and step.value \
+                            and head.value and tail.value:
                         for b in oracle_preds(base):
                             for s in oracle_preds(step):
                                 for h in oracle_preds(head):
@@ -414,11 +414,11 @@ def oracle_preds(t):
                         for p in oracle_preds(payload):
                             yield Catch(cont, p)
                     case Throw(cont2, payload) \
-                            if cont2 != cont and is_value(payload) \
+                            if cont2 != cont and payload.value \
                             and cont not in fcv(payload):
                         for p in oracle_preds(payload):
                             yield Throw(cont2, p)
-                if is_value(body) and cont not in fcv(body):
+                if body.value and cont not in fcv(body):
                     yield from oracle_preds(body)
             case Lam(param, annot, body):
                 for b in oracle_preds(body):

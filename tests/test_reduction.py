@@ -17,7 +17,7 @@ from lcatch.reduction import (
 from lcatch.surface import expand_term, parse_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, alpha_eq, canonical,
-    children, fcv, is_value, replace_at, subst, subterm_at,
+    children, fcv, replace_at, subst, subterm_at,
 )
 
 from test_syntax import draw, identical, oracle_canonical
@@ -118,25 +118,25 @@ def matching_rules(t):
     match t:
         case Catch(a, Throw(b, q)) if b == a:
             out.append((Rule.CATCH_1, Catch(a, q)))
-        case Catch(a, Throw(b, v)) if b != a and is_value(v) and a not in fcv(v):
+        case Catch(a, Throw(b, v)) if b != a and v.value and a not in fcv(v):
             out.append((Rule.CATCH_2, Throw(b, v)))
     match t:
-        case Catch(a, body) if is_value(body) and a not in fcv(body):
+        case Catch(a, body) if body.value and a not in fcv(body):
             out.append((Rule.CATCH_3, body))
     match t:
-        case App(Lam(param, _, body), arg) if is_value(arg):
+        case App(Lam(param, _, body), arg) if arg.value:
             out.append((Rule.BETA_V, subst(body, param, arg)))
     match t:
-        case App(App(App(LrecC(), base), step), Nil()) if is_value(base) and is_value(step):
+        case App(App(App(LrecC(), base), step), Nil()) if base.value and step.value:
             out.append((Rule.LREC_NIL, base))
         case App(App(App(LrecC(), base), step), App(App(ConsC(), head), tail)) \
-                if is_value(base) and is_value(step) and is_value(head) and is_value(tail):
+                if base.value and step.value and head.value and tail.value:
             rec = App(App(App(LrecC(), base), step), tail)
             out.append((Rule.LREC_CONS, App(App(App(step, head), tail), rec)))
     match t:
         case App(Throw(a, q), _):
             out.append((Rule.THROW, Throw(a, q)))
-        case App(v, Throw(a, q)) if is_value(v):
+        case App(v, Throw(a, q)) if v.value:
             out.append((Rule.THROW, Throw(a, q)))
         case Throw(_, Throw(a, q)):
             out.append((Rule.THROW, Throw(a, q)))
@@ -352,7 +352,7 @@ def test_closed_typed_terms_evaluate_to_values():
         t = gen_term(GenConfig(seed=seed, max_size=16))
         out = evaluate(t)
         assert out.kind is OutcomeKind.VALUE
-        assert is_value(out.term)
+        assert out.term.value
 
 
 def test_typed_redex_free_terms_are_values_or_throws():
@@ -365,8 +365,8 @@ def test_typed_redex_free_terms_are_values_or_throws():
             for u in frontier:
                 events = enumerate_redexes(u)
                 if not events:
-                    assert is_value(u) or (
-                        isinstance(u, Throw) and is_value(u.payload))
+                    assert u.value or (
+                        isinstance(u, Throw) and u.payload.value)
                 nxt.extend(e.result for e in events[:3])
             frontier = nxt[:12]
 
@@ -390,7 +390,7 @@ def test_evaluate_uncaught_throw():
     out = evaluate(Throw("b", UNIT), fuel=10)
     assert out.kind is OutcomeKind.UNCAUGHT_THROW
     assert out.cont == "b"
-    assert is_value(out.term.payload)
+    assert out.term.payload.value
 
 
 def test_evaluate_omega_runs_out_of_fuel():
@@ -452,20 +452,20 @@ def oracle_step(t):
             return (c[0], path, c[1])
         match u:
             case App(fun, arg):
-                if not is_value(fun):
+                if not fun.value:
                     return descend(fun, path + (0,))
-                if not is_value(arg):
+                if not arg.value:
                     return descend(arg, path + (1,))
                 return None
             case Throw(_, payload):
-                if not is_value(payload):
+                if not payload.value:
                     return descend(payload, path + (0,))
                 return None
             case Catch(_, body):
                 return descend(body, path + (0,))
         return None
 
-    if is_value(t):
+    if t.value:
         return None
     found = descend(t, ())
     if found is None:

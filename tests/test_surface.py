@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -654,3 +655,30 @@ def test_printer_walks_a_long_improper_chain_once():
     expected = "cons () " + "(cons () " * (n - 1) + "y" + ")" * (n - 1)
     assert print_term(chain) == expected
     assert print_term(chain, sugar=True) == expected
+
+
+def test_printer_takes_no_frame_per_argument_level():
+    # the argument spine `f1 (f2 (... u))` prints in one loop, whether its
+    # functions are lambdas, cons cells or variables above a list literal
+    assert sys.getrecursionlimit() <= 1000
+    n = 100_000
+    spines = [
+        (Lam("y", None, Var("y")), "(\\y. y)", Var("x"), "x", "x"),
+        (App(ConsC(), UNIT), "cons ()", Var("y"), "y", "y"),
+        (None, None, cons(UNIT, cons(UNIT, Nil())), "[(), ()]", "#2"),
+    ]
+    for fun, fun_text, end, plain, sugared in spines:
+        funs = [fun] * n if fun is not None else [Var("f"), Var("g")] * (n // 2)
+        term = end
+        for f in reversed(funs):
+            term = App(f, term)
+        opening = " (".join(fun_text or f.name for f in funs)
+        for sugar, tail in ((False, plain), (True, sugared)):
+            expected = f"{opening} {tail}" + ")" * (n - 1)
+            try:
+                printed = print_term(term, sugar=sugar)
+            except RecursionError:
+                # reported as a plain failure: pytest's report of a deep
+                # RecursionError compares the frames' terms by `==`
+                printed = "RecursionError"
+            assert printed == expected

@@ -19,7 +19,7 @@ from lcatch.reduction import Rule, contractum, enumerate_redexes, redex
 from lcatch.surface import parse_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, Type, UNIT, UnitVal, Var, VarSets,
-    alpha_eq, canonical, children, cons, fcv, free_vars, fresh_name, is_value, lrec,
+    alpha_eq, canonical, children, cons, fcv, free_vars, fresh_name, lrec,
     numeral, rename_cont_var, replace_child, size, subst,
 )
 
@@ -39,34 +39,34 @@ def draw(seed, max_size, typed=True):
     return gen_term(cfg) if typed else _draw_untyped(random.Random(seed), cfg)
 
 
-# ------------- is_value -------------
+# ------------- value -------------
 
 
 def test_lambda_is_value():
-    assert is_value(p("\\x. x"))
+    assert p("\\x. x").value
 
 
 def test_applied_cons_is_value():
     # cons applied to one or two values stays a value
-    assert is_value(App(App(p("cons"), UNIT), Nil()))
-    assert is_value(App(p("cons"), UNIT))
+    assert App(App(p("cons"), UNIT), Nil()).value
+    assert App(p("cons"), UNIT).value
 
 
 def test_throw_is_not_value():
-    assert not is_value(Throw("a", UNIT))
+    assert not Throw("a", UNIT).value
 
 
 def test_fully_applied_lrec_is_not_value():
-    assert not is_value(p("lrec () (\\x. x) []"))
+    assert not p("lrec () (\\x. x) []").value
 
 
 def test_partially_applied_lrec_is_value():
-    assert is_value(p("lrec ()"))
-    assert is_value(p("lrec () (\\x. x)"))
+    assert p("lrec ()").value
+    assert p("lrec () (\\x. x)").value
 
 
 def test_cons_of_non_value_is_not_value():
-    assert not is_value(cons(Throw("a", UNIT), Nil()))
+    assert not cons(Throw("a", UNIT), Nil()).value
 
 
 # ------------- nodes against the dataclass oracle -------------
@@ -191,7 +191,7 @@ def test_nodes_agree_with_the_dataclass_oracle():
         pairs = [(u, to_oracle(oracle_canonical(u))) for u in subterms]
         for u, _ in pairs:
             o = to_oracle(u)
-            assert u.value is oracle_is_value(o) is is_value(u)
+            assert u.value is oracle_is_value(o)
             assert repr(u) == repr(o)
             values += u.value
         # equality on every pair of subterms of one size: the pairs that
@@ -387,8 +387,8 @@ def test_subst_value_into_value_is_value():
     for _ in range(500):
         t = _gen_untyped(rng, 10, 0)
         v = _gen_untyped(rng, 6, 0)
-        if is_value(t) and is_value(v):
-            assert is_value(subst(t, "x", v))
+        if t.value and v.value:
+            assert subst(t, "x", v).value
             checked += 1
     assert checked > 20
 
@@ -781,9 +781,9 @@ def test_is_value_stable_under_alpha_and_value_subst():
     rng = random.Random(16)
     for _ in range(200):
         t = _gen_untyped(rng, 10, 0)
-        assert is_value(t) == is_value(oracle_canonical(t))
-        if is_value(t):
-            assert is_value(subst(t, "x", p("\\w. w")))
+        assert t.value == oracle_canonical(t).value
+        if t.value:
+            assert subst(t, "x", p("\\w. w")).value
 
 
 # ------------- size -------------
