@@ -1,30 +1,37 @@
 """The seven reduction rules, redex enumeration, and the CBV evaluator.
 
-The rules are stated once, as a redex view: `redex` dispatches on the
-root constructor, matches the one rule that root can match and returns
-it with its slots, the subterms the contractum is built from, and
+The rules are stated as a redex view: `redex` dispatches on the root
+constructor, matches the one rule that root can match and returns it
+with its slots, the subterms the contractum is built from, and
 `contractum` builds the right-hand side from those slots.  `contract`
 performs root contractions only, as `redex` followed by `contractum`;
 complete development and parallel reduction in `confluence` feed the
 same builder developed or reduced slots.  `enumerate_redexes` closes
 over every subterm position (the compatible closure, including under
-lambda and catch).  The deterministic CBV strategy runs on a refocused
-machine (Danvy & Nielsen, "Refocusing in reduction semantics", 2004) that
-keeps the evaluation context as an explicit stack of frames, so a step
-resumes at the hole of the last contraction instead of re-descending from
-the root and rebuilding the spine.  Step counting is exact: one count per
-applied rule instance, frame navigation is free.
+lambda and catch).
+
+The deterministic CBV strategy runs on an environment machine (Biernacka
+& Danvy, "A concrete framework for environment machines", 2007) derived
+from a refocused substitution machine (Danvy & Nielsen, "Refocusing in
+reduction semantics", 2004).  It states the rules a second time, at its
+own transitions, and shares no code with `contract`; the tests check it
+step by step, trace events included, against a root re-descent built on
+`contract`.  beta binds a closed argument in an environment instead of
+substituting it, lrec_cons continues as a fixed template, and the term
+a state stands for is read back only for trace events and the final or
+out-of-fuel term.  Step counting is exact: one count per applied rule
+instance, moves between frames are free.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .syntax import (
-    App, Catch, ConsC, LREC, Lam, LrecC, Nil, Term, Throw, children, fcv,
-    replace_child, subst,
+    _PARTIAL, App, Catch, ConsC, LREC, Lam, LrecC, Nil, Term, Throw, Var, VarSets, children,
+    fcv, free_vars, replace_child, subst,
 )
 
 
@@ -134,14 +141,14 @@ def contract(t: Term) -> Optional[tuple[Rule, Term]]:
     return rule, contractum(rule, t, slots)
 
 
-# One frame: the child index the hole sits at and the parent node around it.
-# Plugging a term into a frame rebuilds only the parent and shares its other
-# child.  A context is a sequence of frames, outermost first; the redex lister
-# and the CBV machine both use them.
+# One frame of the redex lister: the child index the hole sits at and the
+# parent node around it.  Plugging a term into a frame rebuilds only the
+# parent and shares its other child.  A context is a list of frames,
+# outermost first.
 Frame = tuple[int, Term]
 
 
-def _plug(frames: Sequence[Frame], t: Term) -> Term:
+def _plug(frames: list[Frame], t: Term) -> Term:
     """The whole term: `t` plugged into the context `frames`."""
     for index, parent in reversed(frames):
         t = replace_child(parent, index, t)
@@ -174,56 +181,6 @@ def enumerate_redexes(t: Term) -> list[ReductionEvent]:
                 events.append(_event(frames, *found))
         if not frames:
             return events
-
-
-# ---------------------------------------------------------------------------
-# The CBV machine
-
-
-def _decompose(t: Term, frames: list[Frame]
-               ) -> tuple[Term, Optional[tuple[Rule, tuple[Term, ...]]]]:
-    """Walk down the CBV spine from `t` to the first position whose root
-    is a redex, pushing one frame per move.
-
-    The walk tries the focus first, then moves into a non-value function,
-    then into a non-value argument, a non-value throw payload or a catch
-    body.  Returns the focus and its redex view (`redex`'s rule and
-    slots), or None for the view when the walk ends on a value, an
-    uncaught throw or a stuck term.
-    """
-    while True:
-        found = redex(t)
-        if found is not None:
-            return t, found
-        cls = type(t)
-        if cls is App:
-            if not t.fun.value:
-                frames.append((0, t))
-                t = t.fun
-            elif not t.arg.value:
-                frames.append((1, t))
-                t = t.arg
-            else:
-                return t, None
-        elif cls is Throw and not t.payload.value:
-            frames.append((0, t))
-            t = t.payload
-        elif cls is Catch:
-            frames.append((0, t))
-            t = t.body
-        else:
-            return t, None
-
-
-def step_cbv(t: Term) -> Optional[ReductionEvent]:
-    """The standard CBV step, or None for values, uncaught throws and
-    stuck terms: the first step of the machine from the root of `t`."""
-    frames: list[Frame] = []
-    t, found = _decompose(t, frames)
-    if found is None:
-        return None
-    rule, slots = found
-    return _event(frames, rule, contractum(rule, t, slots))
 
 
 # ---------------------------------------------------------------------------
@@ -263,46 +220,237 @@ class Outcome:
 def _classify(t: Term) -> tuple[OutcomeKind, Optional[str]]:
     if t.value:
         return OutcomeKind.VALUE, None
-    match t:
-        case Throw(cont, payload) if payload.value:
-            return OutcomeKind.UNCAUGHT_THROW, cont
+    if type(t) is Throw and t.payload.value:
+        return OutcomeKind.UNCAUGHT_THROW, t.cont
     return OutcomeKind.ILL_FORMED, None
+
+
+# ---------------------------------------------------------------------------
+# The CBV machine
+
+
+class _Closure:
+    """A machine value: a lambda under an environment that binds some of
+    its free variables to closed values; `term` is its read-back, built on
+    first use."""
+
+    __slots__ = ("lam", "env", "term")
+
+    def __init__(self, lam: Lam, env: dict):
+        self.lam = lam
+        self.env = env
+        self.term: Optional[Term] = None
+
+
+def _term(v) -> Term:
+    """The term a machine value stands for.  The closures it reaches are
+    read back innermost first from a work list, so a chain of closures
+    costs no host frame per link."""
+    if type(v) is not _Closure:
+        return v
+    todo = [v]
+    while todo:
+        c = todo[-1]
+        pending = [w for name in free_vars(c.lam).term_vars
+                   if type(w := c.env.get(name)) is _Closure and w.term is None]
+        if pending:
+            todo += pending
+            continue
+        todo.pop()
+        if c.term is None:
+            c.term = _readback(c.lam, c.env)
+    return v.term
+
+
+def _readback(t: Term, env: dict) -> Term:
+    """`t` with each free variable that `env` binds replaced by its value's
+    term.  beta binds closed values only and the lrec_cons template has no
+    binder, so nothing is renamed."""
+    if env:
+        for name in free_vars(t).term_vars:
+            if name in env:
+                t = subst(t, name, _term(env[name]))
+    return t
+
+
+def _free(v) -> VarSets:
+    """The free variables of the term a machine value stands for."""
+    if type(v) is _Closure:
+        names = free_vars(v.lam)
+        return VarSets(names.term_vars.difference(v.env), names.cont_vars)
+    return free_vars(v)
+
+
+# lrec_cons continues as `step head tail (rec tail)` under this template,
+# `%r` bound to the redex's own `lrec base step`; no source name has a `%`.
+_LREC_CONS_TEMPLATE = App(App(App(Var("%s"), Var("%h")), Var("%l")), App(Var("%r"), Var("%l")))
+
+
+# A machine frame is one of:
+#   (arg, env)   apply-to: the function position of `f arg`, `arg` unevaluated
+#   a value      applied: the argument position of `value arg`
+#   a Throw      its payload is the hole
+#   a Catch      its body is the hole
+# An apply-to frame is the only tuple; a value is never a Throw or a Catch.
+_HOLE_AT_0 = (tuple, Throw, Catch)
+
+
+def _whole(frames: list, focus: Term) -> Term:
+    """The term the machine state stands for: `focus` read back into `frames`."""
+    for f in reversed(frames):
+        cls = type(f)
+        if cls is tuple:
+            focus = App(focus, _readback(*f))
+        elif cls is Throw or cls is Catch:
+            focus = replace_child(f, 0, focus)
+        else:
+            focus = App(_term(f), focus)
+    return focus
+
+
+def _record(trace: list, rule: Rule, frames: list, depth: int, focus: Term) -> None:
+    """Append the event of a contraction at the hole of `frames[:depth]`
+    whose new state is `focus` in `frames`; one None past TRACE_CAP events
+    marks the trace as truncated."""
+    if len(trace) < TRACE_CAP:
+        path = tuple([0 if type(f) in _HOLE_AT_0 else 1 for f in frames[:depth]])
+        trace.append(ReductionEvent(rule, path, _whole(frames, focus)))
+    elif len(trace) == TRACE_CAP:
+        trace.append(None)
+
+
+# The rules, in `Rule`'s order, as globals for the machine's loop: looking
+# a member up on the enum costs about ten times as much.
+_BETA_V, _THROW, _CATCH_1, _CATCH_2, _CATCH_3, _LREC_NIL, _LREC_CONS = Rule
 
 
 def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Outcome:
     """Run the CBV machine for at most `fuel` rule applications.
 
-    Each round decomposes from the focus to the next redex, contracts it,
-    and refocuses: while the contractum is a value or a throw, it is
-    plugged into the innermost frame, because only those can change
-    whether an enclosing frame is a redex.  Every frame on the stack is a
-    non-value application, a throw or a catch, so the climb stops at the
-    same outermost redex a walk from the root finds.  The whole term is
-    rebuilt once at the end, and once per step only for kept trace events.
+    The machine either evaluates a term under an environment or returns a
+    value, a term or a `_Closure`, to the innermost frame.  beta binds a
+    closed argument in the environment and substitutes any other at once,
+    so every value an environment binds is closed, save the lrec_cons
+    template's, whose body has no binder: a read-back renames nothing, and
+    a state stands for the term a substitution machine holds, binder names
+    included.  A throw in focus contracts against an application or throw
+    frame before its payload is evaluated, and the catch rules are checked
+    when a throw or a value reaches a catch frame.
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    trace: Optional[list[ReductionEvent]] = [] if keep_trace else None
-    truncated = False
+    trace: Optional[list] = [] if keep_trace else None
     steps = 0
-    frames: list[Frame] = []
+    frames: list = []
+    env: dict = {}
+    evaluating = True
+    out_of_fuel = True
     while True:
-        t, found = _decompose(t, frames)
-        if found is None or steps == fuel:
+        if evaluating:
+            # evaluate `t` under `env`
+            cls = type(t)
+            if cls is App and (not t.value or env and not env.keys().isdisjoint(free_vars(t).term_vars)):
+                frames.append((t.arg, env))
+                t = t.fun
+                continue
+            if cls is Catch:
+                frames.append(t)
+                t = t.body
+                continue
+            if cls is not Throw:
+                if cls is Var:
+                    v = env.get(t.name, t)
+                elif cls is Lam and env and not env.keys().isdisjoint(free_vars(t).term_vars):
+                    v = _Closure(t, env)
+                else:
+                    v = t                   # a value that names no variable `env` binds
+                evaluating = False
+                continue
+            if frames and type(f := frames[-1]) is not Catch:
+                rule = _THROW
+            elif frames and f.cont == t.cont:
+                rule = _CATCH_1
+            elif not t.payload.value:
+                frames.append(t)
+                t = t.payload
+                continue
+            elif frames and f.cont not in fcv(t.payload):
+                rule = _CATCH_2
+            else:                           # an uncaught throw, or stuck
+                out_of_fuel = False
+                break
+        else:
+            # return `v` to the innermost frame
+            if not frames:
+                out_of_fuel = False
+                break
+            f = frames[-1]
+            cls = type(f)
+            if cls is tuple:
+                # the function is a value: evaluate the argument
+                frames[-1] = v
+                t, env = f
+                evaluating = True
+                continue
+            if cls is Throw:
+                frames.pop()
+                t = Throw(f.cont, _term(v))
+                env = {}
+                evaluating = True
+                continue
+            if cls is Lam or cls is _Closure:
+                rule = _BETA_V
+            elif cls is Catch and f.cont not in _free(v).cont_vars:
+                rule = _CATCH_3
+            elif cls is App and type(f.fun) is App and type(f.fun.fun) is LrecC and (
+                    type(v) is Nil or type(v) is App and type(v.fun) is App and type(v.fun.fun) is ConsC):
+                rule = _LREC_NIL if type(v) is Nil else _LREC_CONS
+            elif cls in _PARTIAL or cls is App and type(f.fun) in _PARTIAL:
+                frames.pop()
+                v = App(f, _term(v))
+                continue
+            else:                           # stuck
+                out_of_fuel = False
+                break
+        # `rule` contracts the innermost frame `f` with its hole filled
+        if steps == fuel:
             break
-        rule, slots = found
-        t = contractum(rule, t, slots)
         steps += 1
-        if trace is not None:
-            if len(trace) < TRACE_CAP:
-                trace.append(_event(frames, rule, t))
+        if rule is _CATCH_1:
+            t = t.payload                   # the catch frame stays
+        else:
+            frames.pop()
+        if rule is _BETA_V:
+            lam = f if type(f) is Lam else f.lam
+            names = _free(v)
+            if not names.term_vars and not names.cont_vars:
+                env = {lam.param: v} if lam is f else {**f.env, lam.param: v}
+                t = lam.body
             else:
-                truncated = True
-        while frames and (t.value or isinstance(t, Throw)):
-            index, parent = frames.pop()
-            t = replace_child(parent, index, t)
-    t = _plug(frames, t)
-    if found is None:
-        kind, cont = _classify(t)
-        return Outcome(kind, t, steps, cont, trace, truncated)
-    return Outcome(OutcomeKind.OUT_OF_FUEL, t, steps, None, trace, truncated)
+                t = subst(_term(f).body, lam.param, _term(v))
+                env = {}
+            evaluating = True
+        elif rule is _LREC_NIL:
+            v = f.fun.arg
+        elif rule is _LREC_CONS:
+            t = _LREC_CONS_TEMPLATE
+            env = {"%s": f.arg, "%h": v.fun.arg, "%l": v.arg, "%r": f}
+            evaluating = True
+        if trace is not None:
+            focus = _readback(t, env) if evaluating else _term(v)
+            _record(trace, rule, frames, len(frames) - (rule is _CATCH_1), focus)
+    t = _whole(frames, _readback(t, env) if evaluating else _term(v))
+    truncated = trace is not None and len(trace) > TRACE_CAP
+    if truncated:
+        trace.pop()
+    if out_of_fuel:
+        return Outcome(OutcomeKind.OUT_OF_FUEL, t, steps, None, trace, truncated)
+    kind, cont = _classify(t)
+    return Outcome(kind, t, steps, cont, trace, truncated)
+
+
+def step_cbv(t: Term) -> Optional[ReductionEvent]:
+    """The standard CBV step, or None for values, uncaught throws and
+    stuck terms: the machine's first event."""
+    trace = evaluate(t, fuel=1, keep_trace=True).trace
+    return trace[0] if trace else None

@@ -175,26 +175,26 @@ class _Solver:
 
     def zonk(self, ty: Type) -> Type:
         ty = self.prune(ty)
-        match ty:
-            case ListType(elem):
-                new = self.zonk(elem)
-                return ty if new is elem else ListType(new)
-            case ArrowType(dom, cod):
-                new_dom, new_cod = self.zonk(dom), self.zonk(cod)
-                return ty if new_dom is dom and new_cod is cod else ArrowType(new_dom, new_cod)
+        cls = type(ty)
+        if cls is ListType:
+            new = self.zonk(ty.elem)
+            return ty if new is ty.elem else ListType(new)
+        if cls is ArrowType:
+            dom, cod = self.zonk(ty.dom), self.zonk(ty.cod)
+            return ty if dom is ty.dom and cod is ty.cod else ArrowType(dom, cod)
         return ty
 
     def ground(self, ty: Type) -> None:
         """Solve every metavariable still open in `ty` as the unit type."""
         ty = self.prune(ty)
-        match ty:
-            case MetaVar(ident):
-                self.assignments[ident] = UNIT_TYPE
-            case ListType(elem):
-                self.ground(elem)
-            case ArrowType(dom, cod):
-                self.ground(dom)
-                self.ground(cod)
+        cls = type(ty)
+        if cls is MetaVar:
+            self.assignments[ty.ident] = UNIT_TYPE
+        elif cls is ListType:
+            self.ground(ty.elem)
+        elif cls is ArrowType:
+            self.ground(ty.dom)
+            self.ground(ty.cod)
 
     def _occurs(self, ident: int, ty: Type) -> bool:
         cls = type(ty)

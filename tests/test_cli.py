@@ -252,6 +252,15 @@ def test_eval_prints_a_deep_out_of_fuel_term():
         "a155612f3abc61fb1036ea0bedf6a3b74c8aaa01a430f1d13a056b446fd7330f")
 
 
+def test_eval_returns_a_chain_of_400_closures():
+    # each recursive call returns `\x. r x` with `r` bound to the one before,
+    # and the machine reads the chain back without a host frame per link
+    n = 400
+    expr = f"lrec (\\x: [1]. x) (\\h: 1. \\t: [1]. \\r: [1] -> [1]. \\x: [1]. r x) #{n}"
+    value = "\\x: [1]. " + "(\\x: [1]. " * n + "x" + ") x" * n
+    assert run_cli("eval", "--count", "-e", expr) == (0, f"{value}\nsteps: {4 * n + 1}\n", "")
+
+
 # In-process, under the default recursion limit: parse, expand, type,
 # run and print take no host frame per list cell.
 

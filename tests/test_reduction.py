@@ -16,11 +16,11 @@ from lcatch.reduction import (
 )
 from lcatch.surface import expand_term, parse_term
 from lcatch.syntax import (
-    App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, alpha_eq, canonical,
+    App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, Var, alpha_eq, canonical,
     children, fcv, replace_at, subst, subterm_at,
 )
 
-from test_syntax import draw, identical, oracle_canonical
+from test_syntax import deep, draw, identical, oracle_canonical
 
 p = parse_term
 
@@ -54,9 +54,10 @@ def test_contract_lrec_cons():
 
 
 def test_lrec_cons_reuses_the_redex_recursor_node():
-    # the machine and the redex lister contract the view's own slots, so
-    # the recursive call is built on the redex's `lrec base step`;
-    # development passes developed slots and builds a new one
+    # the redex lister contracts the view's own slots and the machine binds
+    # its template's `%r` to the redex's `lrec base step`, so both build the
+    # recursive call on that node; development passes developed slots and
+    # builds a new one
     t = p("lrec () (\\h. \\t. \\r. r) [(), ()]")
     for out in (contract(t)[1], step_cbv(t).result, evaluate(t, fuel=1).term,
                 enumerate_redexes(t)[-1].result):
@@ -440,6 +441,20 @@ def test_steps_per_rule(src, counts):
     assert out.steps == sum(counts.values())
 
 
+@deep
+def test_a_chain_of_closures_reads_back_without_a_frame_per_link():
+    # the value nests n closures `\x. r x`, each with `r` bound to the next
+    # one in; they are read back innermost first, in a loop
+    n = 5000
+    out = evaluate(p(f"lrec (\\x. x) (\\h. \\t. \\r. \\x. r x) #{n}"))
+    assert (out.kind, out.steps) == (OutcomeKind.VALUE, 4 * n + 1)
+    u = out.term
+    for _ in range(n):
+        assert type(u) is Lam and type(u.body) is App and identical(u.body.arg, Var("x"))
+        u = u.body.fun
+    assert identical(u, p("\\x. x"))
+
+
 # ------------- the machine against the root-redescent oracle -------------
 
 
@@ -529,22 +544,42 @@ def test_machine_matches_oracle_past_trace_cap(monkeypatch):
     assert evaluate(t, keep_trace=True).trace_truncated
 
 
+def test_machine_shares_no_rule_code_with_contract(monkeypatch):
+    # a planted lrec_cons that swaps head and tail reaches the oracle through
+    # `contract`; the machine states its rules itself, so the runs part
+    real = reduction.contractum
+
+    def swapped(rule, t, slots):
+        if rule is Rule.LREC_CONS:
+            base, step, head, tail = slots
+            slots = (base, step, tail, head)
+        return real(rule, t, slots)
+
+    monkeypatch.setattr(reduction, "contractum", swapped)
+    t = expand_term(p("times #2 #2"), list(prelude_defs()))
+    with pytest.raises(AssertionError):
+        _assert_same_run(t, reduction.DEFAULT_FUEL)
+
+
 @pytest.mark.parametrize("program", ["plus #{n} #7", "times #{n} #{n}"])
 def test_contractions_per_step_stay_constant_as_terms_grow(monkeypatch, program):
-    # the machine resumes at the hole, so the redex search per step does
-    # not grow with the term; a root re-descent grows linearly
-    calls = 0
-    real = reduction.redex
+    # the machine builds a node where a value forms (a cons cell, a partial
+    # application) or an open argument is substituted, never to rebuild the
+    # term around a contraction, so the nodes built per step do not grow
+    # with the term.  `oracle_evaluate`, which rebuilds the spine from the
+    # root, builds about 4 per step at n = 5 and 20 to 40 at n = 40.
+    built = 0
+    for cls in (Var, Lam, App, Catch, Throw):
+        def counting(cls, *fields, _new=cls.__new__):
+            nonlocal built
+            built += 1
+            return _new(cls, *fields)
 
-    def counting(t):
-        nonlocal calls
-        calls += 1
-        return real(t)
-
-    monkeypatch.setattr(reduction, "redex", counting)
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting))
     defs = list(prelude_defs())
     for n in (5, 20, 40):
-        calls = 0
-        out = evaluate(expand_term(p(program.format(n=n)), defs))
+        t = expand_term(p(program.format(n=n)), defs)
+        built = 0
+        out = evaluate(t)
         assert out.kind is OutcomeKind.VALUE
-        assert out.steps <= calls <= 2 * out.steps
+        assert built <= out.steps

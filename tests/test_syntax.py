@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import os
 import pickle
@@ -30,6 +31,23 @@ def identical(a, b):
     """Equality that pins every name, bound ones included: `==` on terms is
     alpha-equivalence, while `repr` shows each node's fields as built."""
     return repr(a) == repr(b)
+
+
+def deep(test):
+    """Mark a test that walks a term nested far past the recursion limit: a
+    RecursionError out of it fails the test with a one-line message, since
+    pytest's own report of a deep one compares the frames' terms by `==`
+    and can run for minutes."""
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        overflowed = False
+        try:
+            test(*args, **kwargs)
+        except RecursionError:
+            overflowed = True
+        if overflowed:
+            pytest.fail(f"{test.__name__} raised RecursionError", pytrace=False)
+    return run
 
 
 def draw(seed, max_size, typed=True):
@@ -809,6 +827,7 @@ def test_size_counts_all_nodes():
 LONG = 100_000
 
 
+@deep
 def test_long_lists_take_no_host_frame_per_cell():
     assert sys.getrecursionlimit() <= 1000
     numeral = p(f"#{LONG}")
@@ -830,6 +849,7 @@ def test_repr_of_a_two_cell_list():
         "arg=Nil()))")
 
 
+@deep
 def test_repr_of_a_long_list_takes_no_host_frame_per_cell():
     assert sys.getrecursionlimit() <= 1000
     cell = "App(fun=App(fun=ConsC(), arg=UnitVal()), arg="
@@ -854,6 +874,7 @@ def test_every_cell_of_a_numeral_shares_one_cons_unit_node(n):
         assert t == cons(UNIT, numeral(n - 1))
 
 
+@deep
 def test_long_lists_copy_and_pickle():
     assert sys.getrecursionlimit() <= 1000
     items = ["\\x. x", "()", "catch a. throw a [()]", "[#1, (\\y. y) ()]"]

@@ -19,7 +19,7 @@ from lcatch.typecheck import (
     ErrorKind, TypingEnv, TypingError, check, derivable, infer, is_arrow_free,
 )
 
-from test_syntax import draw, identical
+from test_syntax import deep, draw, identical
 
 p = parse_term
 EMPTY = TypingEnv()
@@ -571,6 +571,7 @@ def test_cons_spine_rule_matches_oracle(src):
         assert_same_as_oracle(env, p(src))
 
 
+@deep
 def test_cons_spines_take_no_host_frame_per_cell():
     # in-process, under the default recursion limit
     assert sys.getrecursionlimit() <= 1000
@@ -782,6 +783,7 @@ def test_cons_spine_stops_at_a_cell_with_a_memo(main):
     assert outcomes[:2] == [("ok", NAT), ("ok", ArrowType(NAT, NAT))]
 
 
+@deep
 def test_a_numeral_types_in_a_loop_after_its_cons_unit_has_a_memo():
     # the cells of `#n` share one `cons ()` node; the cons-spine loop reads
     # its memo instead of walking each cell as a tail, one frame a cell
