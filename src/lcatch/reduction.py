@@ -45,6 +45,12 @@ class Rule(enum.Enum):
     LREC_CONS = "lrec_cons"
 
 
+# The rules, in `Rule`'s order, as globals for the redex view and the
+# machine's loop: looking a member up on the enum costs about ten times as
+# much.
+_BETA_V, _THROW, _CATCH_1, _CATCH_2, _CATCH_3, _LREC_NIL, _LREC_CONS = Rule
+
+
 @dataclass(frozen=True)
 class ReductionEvent:
     """One applied rule instance: rule tag, redex path, resulting whole term."""
@@ -71,15 +77,15 @@ def redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
     if cls is App:
         fun, arg = t.fun, t.arg
         if type(fun) is Throw:
-            return Rule.THROW, (fun,)
+            return _THROW, (fun,)
         if not fun.value:
             return None
         if type(arg) is Throw:
-            return Rule.THROW, (arg,)
+            return _THROW, (arg,)
         if not arg.value:
             return None
         if type(fun) is Lam:
-            return Rule.BETA_V, (fun.body, arg)
+            return _BETA_V, (fun.body, arg)
         # `lrec base step` applied to `[]` or to `cons head tail`, by type
         # tests; base, step, head and tail are values because fun and arg are
         if type(fun) is not App:
@@ -88,45 +94,45 @@ def redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
         if type(rec) is not App or type(rec.fun) is not LrecC:
             return None
         if type(arg) is Nil:
-            return Rule.LREC_NIL, (rec.arg,)
+            return _LREC_NIL, (rec.arg,)
         if type(arg) is App:
             cell = arg.fun
             if type(cell) is App and type(cell.fun) is ConsC:
-                return Rule.LREC_CONS, (rec.arg, fun.arg, cell.arg, arg.arg)
+                return _LREC_CONS, (rec.arg, fun.arg, cell.arg, arg.arg)
         return None
     if cls is Catch:
         cont, body = t.cont, t.body
         if type(body) is Throw:
             payload = body.payload
             if body.cont == cont:
-                return Rule.CATCH_1, (payload,)
+                return _CATCH_1, (payload,)
             if payload.value and cont not in fcv(payload):
-                return Rule.CATCH_2, (payload,)
+                return _CATCH_2, (payload,)
             return None
         if body.value and cont not in fcv(body):
-            return Rule.CATCH_3, (body,)
+            return _CATCH_3, (body,)
         return None
     if cls is Throw and type(t.payload) is Throw:
-        return Rule.THROW, (t.payload,)
+        return _THROW, (t.payload,)
     return None
 
 
 def contractum(rule: Rule, t: Term, slots: tuple[Term, ...]) -> Term:
     """The right-hand side of `rule` at the redex `t`, built from `slots`
     in place of the ones `redex(t)` returned and from `t`'s binder names."""
-    if rule is Rule.BETA_V:
+    if rule is _BETA_V:
         body, arg = slots
         return subst(body, t.fun.param, arg)
-    if rule is Rule.LREC_CONS:
+    if rule is _LREC_CONS:
         base, step, head, tail = slots
         rec = t.fun
         # the redex's own `lrec base step` when its slots are kept as they are
         if base is not rec.fun.arg or step is not rec.arg:
             rec = App(App(LREC, base), step)
         return App(App(App(step, head), tail), App(rec, tail))
-    if rule is Rule.CATCH_1:
+    if rule is _CATCH_1:
         return Catch(t.cont, slots[0])
-    if rule is Rule.CATCH_2:
+    if rule is _CATCH_2:
         return Throw(t.body.cont, slots[0])
     (result,) = slots  # lrec_nil, catch_3 and throw keep their one slot
     return result
@@ -317,11 +323,6 @@ def _record(trace: list, rule: Rule, frames: list, depth: int, focus: Term) -> N
         trace.append(ReductionEvent(rule, path, _whole(frames, focus)))
     elif len(trace) == TRACE_CAP:
         trace.append(None)
-
-
-# The rules, in `Rule`'s order, as globals for the machine's loop: looking
-# a member up on the enum costs about ten times as much.
-_BETA_V, _THROW, _CATCH_1, _CATCH_2, _CATCH_3, _LREC_NIL, _LREC_CONS = Rule
 
 
 def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Outcome:

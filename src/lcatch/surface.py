@@ -116,14 +116,14 @@ def _position(src: str, index: int) -> tuple[int, int]:
 # Parser
 
 _CLOSE = {"LPAREN": ("RPAREN", "')'"), "LBRACKET": ("RBRACKET", "']'")}
-# The largest numeral built.  Its cells share one `cons ()` node, so each
-# keeps one App of 80 bytes (about 117 once typed and hashed) and costs
-# about 2.4 us through `lcatch eval` (parse, type, print; Python 3.11, 2
-# shared CPUs), and no layer takes a host frame per cell, so the cap
-# bounds a numeral's cells at about 120 MB and a few seconds: `eval
-# --count -e "plus #0 #1000000"` took 3.3 s and 222 MB peak in one
-# process.  Its digit count is checked first, so `int` never sees a huge
-# string.
+# The largest numeral built.  Its cells share one `cons ()` node and are
+# built with their memos, so each keeps one App of 80 bytes (about 115
+# once hashed) and costs about 1.2 us through `lcatch eval` (0.87 to
+# parse, 0.34 to print, none to expand or type; Python 3.11, 2 shared
+# CPUs), and no layer takes a host frame per cell, so the cap bounds a
+# numeral's cells at about 115 MB and a second or two: `eval --count -e
+# "plus #0 #1000000"` took 1.5 s and 108 MB peak in one process.  Its
+# digit count is checked first, so `int` never sees a huge string.
 _NUMERAL_MAX = 10**6
 
 
@@ -318,16 +318,17 @@ _TOP, _FUN, _ARG = 0, 1, 2
 
 
 def print_type(ty: Type) -> str:
-    match ty:
-        case ArrowType(dom, cod):
-            dom_s = print_type(dom)
-            if isinstance(dom, ArrowType):
-                dom_s = f"({dom_s})"
-            return f"{dom_s} -> {print_type(cod)}"
-        case ListType(elem):
-            return f"[{print_type(elem)}]"
-        case MetaVar(ident):
-            return f"?{ident}"
+    cls = type(ty)
+    if cls is ArrowType:
+        dom = ty.dom
+        dom_s = print_type(dom)
+        if type(dom) is ArrowType:
+            dom_s = f"({dom_s})"
+        return f"{dom_s} -> {print_type(ty.cod)}"
+    if cls is ListType:
+        return f"[{print_type(ty.elem)}]"
+    if cls is MetaVar:
+        return f"?{ty.ident}"
     return "1"
 
 

@@ -262,11 +262,23 @@ def cons(head: Term, tail: Term) -> Term:
 
 def numeral(n: int) -> Term:
     """suc^n zero, the numeral for `n` at type [1]: its `n` cells share one
-    `cons ()` node, so each costs one App."""
+    `cons ()` node, so each costs one App.  Each cell is built closed, with
+    the shared empty VarSets as its `_free_vars`, and the root of `n >= 1`
+    cells with the closed-term memo `infer` would store, `([1], 3n + 1)`
+    (see typecheck's "Lists"), so no walk goes past a numeral's root."""
     suc = App(CONS, UNIT)
     out: Term = Nil()
     for _ in range(n):
-        out = App(suc, out)
+        t = _new(_MutableApp)
+        t.fun = suc
+        t.arg = out
+        t.value = True
+        t._free_vars = _EMPTY
+        t._alpha_hash = t._type = None
+        t.__class__ = App
+        out = t
+    if n:
+        _set_type(out, (ListType(UNIT_TYPE), 3 * n + 1))
     return out
 
 
@@ -332,7 +344,9 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 # plain stores on the mutable twin, before it freezes the node.  None means
 # "not computed yet", and the first call computes the memo and writes it
 # once through the slot's descriptor (`_set_free_vars`, `_set_alpha_hash`,
-# `_set_type`), since the frozen node refuses plain stores.  The three memos:
+# `_set_type`), since the frozen node refuses plain stores.  Only `numeral`
+# builds nodes with memos stored: each cell's `_free_vars` and the root's
+# `_type`, the values the first calls would compute.  The memos:
 #   _free_vars   free_vars
 #   _alpha_hash  Term.__hash__: a structural hash that skips every name
 #   _type        typecheck.infer: (type, metavariables its walk allocated)

@@ -61,7 +61,9 @@ conditions that pass.  `check` and `derivable` never write the slot:
 `[1] -> [1]`), and `derivable` grounds open metavariables at unit, so
 neither result is the term's type in every context.  `surface.expand_defs`
 shares each expanded definition by identity, so checking a program's
-definitions in order types each definition once.
+definitions in order types each definition once.  `syntax.numeral` builds
+each numeral of `n >= 1` cells with this memo on its root: type `[1]` and
+`3n + 1` metavariables, as "Lists" derives them, so a numeral types in O(1).
 """
 
 from __future__ import annotations

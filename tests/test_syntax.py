@@ -254,14 +254,31 @@ NODE_CLASSES = (Var, UnitVal, Nil, ConsC, LrecC, Lam, App, Catch, Throw)
 def _check_built(result, *inputs):
     """Every node of `result` is of a public class, never a mutable twin,
     and each node that is not one of `inputs`' or a shared constant holds
-    no memo.  Returns how many nodes were new."""
+    no memo, save the cells `numeral` builds: each holds the shared empty
+    VarSets as `_free_vars`, and the root alone holds `_type`, the `[1]`
+    and `3n + 1` metavariables that `infer` stores for `n` cells.  Returns
+    how many nodes were new."""
     old = {id(u) for t in (*inputs, UNIT, syntax.CONS, syntax.LREC) for u in _subterms(t)}
     new = 0
+    tails = set()
+    # in preorder, so a numeral's root comes before its tails
     for u in _subterms(result):
         assert type(u) in NODE_CLASSES, type(u)
-        if id(u) not in old:
-            assert (u._free_vars, u._alpha_hash, u._type) == (None, None, None), u
-            new += 1
+        if id(u) in old:
+            continue
+        new += 1
+        if u._free_vars is None:
+            assert (u._alpha_hash, u._type) == (None, None), u
+            continue
+        funs, tail = _spine_funs(u)
+        assert u._free_vars is syntax._EMPTY and u._alpha_hash is None, u
+        assert type(tail) is Nil and all(fun is funs[0] for fun in funs), u
+        assert type(funs[0].fun) is ConsC and type(funs[0].arg) is UnitVal, u
+        if id(u) in tails:
+            assert u._type is None, u
+        else:
+            assert u._type == (syntax.ListType(syntax.UNIT_TYPE), 3 * len(funs) + 1), u
+        tails.add(id(u.arg))
     return new
 
 
@@ -830,7 +847,10 @@ LONG = 100_000
 @deep
 def test_long_lists_take_no_host_frame_per_cell():
     assert sys.getrecursionlimit() <= 1000
-    numeral = p(f"#{LONG}")
+    # a parsed numeral holds its free-variable memos; a deep copy is built
+    # memo-free, so free_vars walks its spine
+    numeral = copy.deepcopy(p(f"#{LONG}"))
+    assert numeral._free_vars is None
     assert free_vars(numeral) == VarSets(frozenset(), frozenset())
     # x at every head and y at the tail, so substitution walks every cell
     head, spine = Var("x"), Var("y")

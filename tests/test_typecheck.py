@@ -13,7 +13,8 @@ from lcatch.surface import (
 )
 from lcatch.syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar, Nil, Term,
-    Throw, Type, UNIT, UNIT_TYPE, UnitType, UnitVal, Var, children, cons, type_has_meta,
+    Throw, Type, UNIT, UNIT_TYPE, UnitType, UnitVal, Var, _EMPTY, children, cons, free_vars,
+    numeral, type_has_meta,
 )
 from lcatch.typecheck import (
     ErrorKind, TypingEnv, TypingError, check, derivable, infer, is_arrow_free,
@@ -576,7 +577,10 @@ def test_cons_spines_take_no_host_frame_per_cell():
     # in-process, under the default recursion limit
     assert sys.getrecursionlimit() <= 1000
     n = 100_000
-    numeral = p(f"#{n}")
+    # a parsed numeral holds its type memo; a deep copy is built memo-free,
+    # so the loop walks every cell
+    numeral = copy.deepcopy(p(f"#{n}"))
+    assert numeral._type is None
     assert infer(EMPTY, numeral) == NAT
     # two steps around each head, one per cell's unification, one for nil
     assert numeral._type[1] == 3 * n + 1
@@ -784,18 +788,44 @@ def test_cons_spine_stops_at_a_cell_with_a_memo(main):
 
 
 @deep
-def test_a_numeral_types_in_a_loop_after_its_cons_unit_has_a_memo():
-    # the cells of `#n` share one `cons ()` node; the cons-spine loop reads
-    # its memo instead of walking each cell as a tail, one frame a cell
+def test_a_numeral_types_in_a_loop_when_its_cons_unit_has_a_memo():
+    # the cells of `#n` share one `cons ()` node; the cons-spine loop walks
+    # each cell's head and never that node, so a memo on it changes nothing.
+    # A deep copy is built memo-free, so the loop walks every cell
     assert sys.getrecursionlimit() <= 1000
     n = 5000
-    t = p(f"#{n}")
+    t = copy.deepcopy(p(f"#{n}"))
+    assert t._type is None
     assert infer(EMPTY, t.fun) == ArrowType(NAT, NAT)
     assert t.fun._type[1] == 2
     reference = copy.deepcopy(t)
     assert reference.fun._type is None
     assert infer(EMPTY, t) == infer(EMPTY, reference) == NAT
     assert t._type == reference._type == (NAT, 3 * n + 1)
+
+
+@deep
+def test_a_numeral_is_built_with_the_memos_infer_and_free_vars_store():
+    # a deep copy is built memo-free, so infer and free_vars walk its cells
+    # and store what `numeral` stored as it built: the type and count at
+    # the root, and empty sets at each cell
+    assert sys.getrecursionlimit() <= 1000
+    for n in [*range(65), 100_000]:
+        t = numeral(n)
+        reference = copy.deepcopy(t)
+        assert (reference._type, reference._free_vars) == (None, None)
+        try:
+            infer(EMPTY, reference)
+        except TypingError:
+            assert n == 0    # `[]` alone has an unsolved element type
+        free_vars(reference)
+        assert t._type == reference._type
+        u, v = t, reference
+        while type(u) is App:
+            assert u._free_vars is _EMPTY and v._free_vars == _EMPTY
+            assert u._type is None or u is t
+            u, v = u.arg, v.arg
+        assert type(v) is Nil
 
 
 def test_memo_is_written_only_by_a_successful_closed_infer():
