@@ -24,6 +24,9 @@ from typing import Iterator, Optional
 from .reduction import Rule, contractum, enumerate_redexes, redex
 from .syntax import App, Catch, Lam, Term, Throw, fcv, size
 
+# a global, as in reduction: looking the member up on the enum costs more
+_THROW = Rule.THROW
+
 
 # ---------------------------------------------------------------------------
 # Compound contexts
@@ -52,7 +55,7 @@ def throw_decompositions(t: Term) -> list[Throw]:
 def _view_redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
     """The redex view of `t`, leaving the throw rule to compound contexts."""
     found = redex(t)
-    return None if found is None or found[0] is Rule.THROW else found
+    return None if found is None or found[0] is _THROW else found
 
 
 # ---------------------------------------------------------------------------

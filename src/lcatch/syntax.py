@@ -264,8 +264,10 @@ def numeral(n: int) -> Term:
     """suc^n zero, the numeral for `n` at type [1]: its `n` cells share one
     `cons ()` node, so each costs one App.  Each cell is built closed, with
     the shared empty VarSets as its `_free_vars`, and the root of `n >= 1`
-    cells with the closed-term memo `infer` would store, `([1], 3n + 1)`
-    (see typecheck's "Lists"), so no walk goes past a numeral's root."""
+    cells with the closed-term memo `infer` would store, `([1], 3n + 1)`,
+    so no walk goes past a numeral's root.  The count: per cell, one
+    metavariable for `cons`'s element type and one step at each of its two
+    applications (each function type is a known arrow); plus one for nil."""
     suc = App(CONS, UNIT)
     out: Term = Nil()
     for _ in range(n):

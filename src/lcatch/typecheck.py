@@ -26,23 +26,14 @@ after the same unification of the domains.  Otherwise (`f`'s type is a
 metavariable, or an arrow whose codomain is one) it allocates `?r` and
 unifies, so an error prints `?r` where it did.
 
-Lists.  A saturated `cons h tl` is typed by the derived rule
-`h : T, tl : [T] |- cons h tl : [T]`, and a whole cons spine is walked
-in a loop, so a list of any length costs no host frame per cell.  For
-each cell the counter steps once before `h`'s walk and once after it;
-after the last tail, each cell's `[T]` is unified with its tail's type,
-innermost cell first and at that cell's path, and the counter steps once
-more per cell.  This is exact.  The scheme path instantiates `cons` at a
-fresh `?e`, the step before `h`'s walk; unifying `?e` with `T` after the
-walk, under the application rule's one step, cannot fail and only names
-`T`, because nothing else holds `?e`; the outer application then unifies
-`[?e]` with the tail's type at the cell's path, after the tail's whole
-walk, and steps once.  `[T]` zonks as `[?e]` does, so every type, error,
-`?n` and memo count is the scheme path's, and the side conditions come
-in the same preorder.  A tail whose type is `[T]` for the very same `T`
-(each cell of a numeral) needs no unification at all.  The loop stops
-at a cell that has a memo and walks it as a tail.  Bare and partially
-applied `cons` keep the scheme path.
+Argument spines.  A spine `f1 (f2 (... u))` is walked in one loop: each
+function in order, then `u`, then the application rule at each level,
+innermost first and at that level's path.  That is the order a recursive
+walk takes, so every type, error, `?n` and memo count is its own, and a
+nest of any depth in argument position, a list among them, costs no host
+frame per level.  The loop stops at an argument that has a memo and
+walks it as `u`.  `cons` is a constant with the scheme
+`A -> [A] -> [A]`, so a list cell needs no rule of its own.
 
 Closed-term memo.  When `infer` succeeds in the empty environment, it
 stores on the term's node its solved type and the number of
@@ -63,7 +54,8 @@ neither result is the term's type in every context.  `surface.expand_defs`
 shares each expanded definition by identity, so checking a program's
 definitions in order types each definition once.  `syntax.numeral` builds
 each numeral of `n >= 1` cells with this memo on its root: type `[1]` and
-`3n + 1` metavariables, as "Lists" derives them, so a numeral types in O(1).
+`3n + 1` metavariables, as its docstring derives them, so a numeral types
+in O(1).
 """
 
 from __future__ import annotations
@@ -256,12 +248,6 @@ _LAM = ("binder type", None, None)
 _CATCH = ("catch binder type", ErrorKind.NON_ARROW_FREE_CATCH, "catch bound at")
 
 
-def _is_cell(t: App) -> bool:
-    """`t` is `cons h tl`."""
-    fun = t.fun
-    return type(fun) is App and type(fun.fun) is ConsC
-
-
 def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
                delta: dict[str, Type], where: _Where, conds: list) -> Type:
     """The type of `t`, which sits at `where`; its constraints go to
@@ -271,38 +257,28 @@ def _constrain(solver: _Solver, t: Term, gamma: dict[str, Type],
         solver.counter += memo[1]
         return memo[0]
     cls = type(t)
-    if cls is App and _is_cell(t):
-        # a cons spine: each head in order, then the tail, then each cell's
-        # `[T] = tail type`, innermost first; see "Lists" in the docstring
-        cells = []
+    if cls is App:
+        # the argument spine `f1 (f2 (... u))` in one loop; see "Argument
+        # spines" in the docstring
+        funs = []
         while True:
-            solver.counter += 1
-            head = _constrain(solver, t.fun.arg, gamma, delta, ((where, 0), 1), conds)
-            solver.counter += 1
-            cells.append((head, where))
+            funs.append(_constrain(solver, t.fun, gamma, delta, (where, 0), conds))
             t, where = t.arg, (where, 1)
-            if type(t) is not App or t._type is not None or not _is_cell(t):
+            if type(t) is not App or t._type is not None:
                 break
         ty = _constrain(solver, t, gamma, delta, where, conds)
-        for head, where in reversed(cells):
-            # a tail typed `[T]` with this very `T` unifies at once
-            if type(ty) is not ListType or ty.elem is not head:
-                lst = ListType(head)
-                solver.unify(lst, ty, where)
-                ty = lst
-            solver.counter += 1
-    elif cls is App:
-        f = _constrain(solver, t.fun, gamma, delta, (where, 0), conds)
-        a = _constrain(solver, t.arg, gamma, delta, (where, 1), conds)
-        f = solver.prune(f)
-        ty = solver.prune(f.cod) if type(f) is ArrowType else None
-        if ty is None or type(ty) is MetaVar:
-            ty = solver.fresh()
-            solver.unify(f, ArrowType(a, ty), where)
-        else:
-            # unifying f with `a -> ?r` would only bind the fresh ?r to ty
-            solver.unify(f.dom, a, where)
-            solver.counter += 1
+        for f in reversed(funs):
+            where = where[0]
+            f = solver.prune(f)
+            cod = solver.prune(f.cod) if type(f) is ArrowType else None
+            if cod is None or type(cod) is MetaVar:
+                cod = solver.fresh()
+                solver.unify(f, ArrowType(ty, cod), where)
+            else:
+                # unifying f with `ty -> ?r` would only bind the fresh ?r to cod
+                solver.unify(f.dom, ty, where)
+                solver.counter += 1
+            ty = cod
     elif cls is Var:
         ty = gamma.get(t.name)
         if ty is None:

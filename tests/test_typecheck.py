@@ -549,10 +549,11 @@ def test_application_rule_matches_oracle_on_each_function_type_shape(src):
         assert_same_as_oracle(env, p(src))
 
 
-# ------------- the cons-spine rule -------------
-# A saturated `cons h tl` is typed by `h : T, tl : [T] |- cons h tl : [T]`,
-# a whole spine in one loop; the oracle instantiates cons's scheme and
-# applies it twice at every cell.  The shapes: a mismatch at one cell or
+# ------------- cons spines -------------
+# A list is an argument spine whose functions are `cons h`; the walk types
+# it in one loop, by the application rule at each cell, and the oracle
+# recursively.  Both instantiate cons's scheme and apply it twice at
+# every cell.  The shapes: a mismatch at one cell or
 # at two (the innermost is reported), a tail that is not a list, a spine
 # ending in a variable or a throw, nested lists and an element type left
 # unsolved.
@@ -582,7 +583,7 @@ def test_cons_spines_take_no_host_frame_per_cell():
     numeral = copy.deepcopy(p(f"#{n}"))
     assert numeral._type is None
     assert infer(EMPTY, numeral) == NAT
-    # two steps around each head, one per cell's unification, one for nil
+    # per cell one for cons and one at each of its two applications; one for nil
     assert numeral._type[1] == 3 * n + 1
     bad = UNIT
     for _ in range(n):
@@ -590,6 +591,22 @@ def test_cons_spines_take_no_host_frame_per_cell():
     with pytest.raises(TypingError) as info:
         infer(EMPTY, bad)
     assert info.value.render() == f"Mismatch at {'/1' * (n - 1)}: expected [1], found 1"
+
+
+@deep
+def test_argument_nests_take_no_host_frame_per_level():
+    # in-process, under the default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    n = 100_000
+    env = TypingEnv({"f": ArrowType(UNIT_TYPE, UNIT_TYPE)})
+    f = Var("f")
+    good, bad = UNIT, Nil()
+    for _ in range(n):
+        good, bad = App(f, good), App(f, bad)
+    assert infer(env, good) == UNIT_TYPE
+    with pytest.raises(TypingError) as info:
+        infer(env, bad)
+    assert info.value.render() == f"Mismatch at {'/1' * (n - 1)}: expected 1, found [?1]"
 
 
 def test_memo_counts_the_metavariables_the_oracle_allocates():
@@ -789,8 +806,9 @@ def test_cons_spine_stops_at_a_cell_with_a_memo(main):
 
 @deep
 def test_a_numeral_types_in_a_loop_when_its_cons_unit_has_a_memo():
-    # the cells of `#n` share one `cons ()` node; the cons-spine loop walks
-    # each cell's head and never that node, so a memo on it changes nothing.
+    # the cells of `#n` share one `cons ()` node.  With a memo on it, the
+    # spine loop reads that node's type at each cell and steps the counter
+    # by its count, 2, as walking it would, so a memo changes nothing.
     # A deep copy is built memo-free, so the loop walks every cell
     assert sys.getrecursionlimit() <= 1000
     n = 5000
