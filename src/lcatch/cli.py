@@ -71,15 +71,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         prog = parse_program(handle.read())
     env = TypingEnv()
     expanded_defs = expand_defs(prog)
-    try:
-        for name, term in expanded_defs:
-            print(f"{name} : {print_type(infer(env, term))}")
-        if prog.main is not None:
-            expanded = expand_term(prog.main, expanded_defs)
-            print(f"main : {print_type(infer(env, expanded))}")
-    except TypingError as err:
-        print(f"type error: {err.render()}", file=sys.stderr)
-        return EXIT_TYPE
+    for name, term in expanded_defs:
+        print(f"{name} : {print_type(infer(env, term))}")
+    if prog.main is not None:
+        expanded = expand_term(prog.main, expanded_defs)
+        print(f"main : {print_type(infer(env, expanded))}")
     return EXIT_OK
 
 
@@ -88,11 +84,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print("error: --max-steps must be at least 0", file=sys.stderr)
         return EXIT_PARSE
     term = _parse_expression(args.expr, _load_scope(args.prelude, args.use_prelude))
-    try:
-        infer(TypingEnv(), term)
-    except TypingError as err:
-        print(f"type error: {err.render()}", file=sys.stderr)
-        return EXIT_TYPE
+    infer(TypingEnv(), term)
     outcome = evaluate(term, fuel=args.max_steps, keep_trace=args.trace)
     for line in render_trace(outcome, sugar=args.sugar):
         print(line)
@@ -222,6 +214,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
+    except TypingError as err:
+        print(f"type error: {err.render()}", file=sys.stderr)
+        return EXIT_TYPE
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE

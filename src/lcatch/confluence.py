@@ -22,7 +22,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .reduction import Rule, contractum, enumerate_redexes, redex
-from .syntax import App, Catch, Lam, Term, Throw, fcv, size
+from .syntax import App, Catch, Lam, Term, Throw, fcv
 
 # a global, as in reduction: looking the member up on the enum costs more
 _THROW = Rule.THROW
@@ -148,40 +148,33 @@ def _preds(t: Term) -> list[Term]:
     return [t]
 
 
-# Caps on `reachable_by_reduction`: breadth-first rounds, reduction events
-# looked at, and the size of a reduct that is explored further.
-_REACH_MAX_DEPTH = 30
-_REACH_MAX_EXPLORED = 30000
-_REACH_MAX_SIZE = 400
+# The most one-step reductions `reachable_by_reduction` looks at.
+_REACH_BUDGET = 30000
 
 
-def reachable_by_reduction(start: Term, target: Term) -> bool:
-    """Breadth-first check that `start` reduces to `target` in many steps.
-
-    Used to validate that parallel reducts are ordinary multi-step
-    reducts; the _REACH_* caps keep exploration of divergent untyped graphs
-    finite and are generous for the generator's term sizes.
+def reachable_by_reduction(start: Term, target: Term) -> Optional[bool]:
+    """Breadth-first check that `start` reduces to `target` in many steps:
+    True once the search meets `target`, False once it has exhausted the
+    reduction graph of `start`, and None, settling nothing, once it has
+    looked at _REACH_BUDGET one-step reductions, which keeps the search of
+    a divergent untyped graph finite.  Used to validate that parallel
+    reducts are ordinary multi-step reducts.
     """
     if start == target:
         return True
-    frontier = [start]
     seen = {start}
-    explored = 0
-    for _ in range(_REACH_MAX_DEPTH):
-        next_frontier: list[Term] = []
-        for u in frontier:
-            for event in enumerate_redexes(u):
-                explored += 1
-                if explored > _REACH_MAX_EXPLORED:
-                    return False
-                v = event.result
-                if v == target:
-                    return True
-                if v in seen or size(v) > _REACH_MAX_SIZE:
-                    continue
+    queue = [start]
+    budget = _REACH_BUDGET
+    # the queue grows as it is walked, so terms are met in breadth-first order
+    for u in queue:
+        for event in enumerate_redexes(u):
+            if budget == 0:
+                return None
+            budget -= 1
+            v = event.result
+            if v == target:
+                return True
+            if v not in seen:
                 seen.add(v)
-                next_frontier.append(v)
-        if not next_frontier:
-            return False
-        frontier = next_frontier
+                queue.append(v)
     return False

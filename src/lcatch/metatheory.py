@@ -335,7 +335,8 @@ def _draw_arrow_free(rng: random.Random, cfg: GenConfig) -> Term:
     return _draw_typed(rng, cfg)
 
 
-# The detail of a case whose reduction graph outgrows the node cap.
+# The detail of a case that settles nothing: a reduction graph that outgrows
+# the node cap, or a reachability search that spends its budget.
 INCONCLUSIVE = "inconclusive"
 
 _EMPTY_ENV = TypingEnv()
@@ -372,10 +373,14 @@ def _check_red_subset_pred(t: Term) -> Optional[str]:
 
 
 def _check_pred_subset_redd(t: Term) -> Optional[str]:
+    detail = None
     for u in parallel_reducts(t):
-        if not reachable_by_reduction(t, u):
+        reached = reachable_by_reduction(t, u)
+        if reached is False:
             return f"parallel reduct {print_term(u)} not reached by ->*"
-    return None
+        if reached is None:
+            detail = INCONCLUSIVE
+    return detail
 
 
 def _steps_to_development(message: str) -> Callable[[Term], Optional[str]]:

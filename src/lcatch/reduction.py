@@ -18,9 +18,9 @@ own transitions, and shares no code with `contract`; the tests check it
 step by step, trace events included, against a root re-descent built on
 `contract`.  beta binds a closed argument in an environment instead of
 substituting it, lrec_cons continues as a fixed template, and the term
-a state stands for is read back only for trace events and the final or
-out-of-fuel term.  Step counting is exact: one count per applied rule
-instance, moves between frames are free.
+a state stands for is read back only for the first TRACE_CAP trace
+events and the final or out-of-fuel term.  Step counting is exact: one
+count per applied rule instance, moves between frames are free.
 """
 
 from __future__ import annotations
@@ -314,17 +314,6 @@ def _whole(frames: list, focus: Term) -> Term:
     return focus
 
 
-def _record(trace: list, rule: Rule, frames: list, depth: int, focus: Term) -> None:
-    """Append the event of a contraction at the hole of `frames[:depth]`
-    whose new state is `focus` in `frames`; one None past TRACE_CAP events
-    marks the trace as truncated."""
-    if len(trace) < TRACE_CAP:
-        path = tuple([0 if type(f) in _HOLE_AT_0 else 1 for f in frames[:depth]])
-        trace.append(ReductionEvent(rule, path, _whole(frames, focus)))
-    elif len(trace) == TRACE_CAP:
-        trace.append(None)
-
-
 def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Outcome:
     """Run the CBV machine for at most `fuel` rule applications.
 
@@ -345,7 +334,7 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
     frames: list = []
     env: dict = {}
     evaluating = True
-    out_of_fuel = True
+    out_of_fuel = False
     while True:
         if evaluating:
             # evaluate `t` under `env`
@@ -378,12 +367,10 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
             elif frames and f.cont not in fcv(t.payload):
                 rule = _CATCH_2
             else:                           # an uncaught throw, or stuck
-                out_of_fuel = False
                 break
         else:
             # return `v` to the innermost frame
             if not frames:
-                out_of_fuel = False
                 break
             f = frames[-1]
             cls = type(f)
@@ -411,10 +398,10 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
                 v = App(f, _term(v))
                 continue
             else:                           # stuck
-                out_of_fuel = False
                 break
         # `rule` contracts the innermost frame `f` with its hole filled
         if steps == fuel:
+            out_of_fuel = True
             break
         steps += 1
         if rule is _CATCH_1:
@@ -437,13 +424,15 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
             t = _LREC_CONS_TEMPLATE
             env = {"%s": f.arg, "%h": v.fun.arg, "%l": v.arg, "%r": f}
             evaluating = True
-        if trace is not None:
+        if trace is not None and len(trace) < TRACE_CAP:
+            # the redex is at the hole of `frames`, less the catch frame catch_1 keeps
+            depth = len(frames) - (rule is _CATCH_1)
+            path = tuple([0 if type(g) in _HOLE_AT_0 else 1 for g in frames[:depth]])
             focus = _readback(t, env) if evaluating else _term(v)
-            _record(trace, rule, frames, len(frames) - (rule is _CATCH_1), focus)
+            trace.append(ReductionEvent(rule, path, _whole(frames, focus)))
     t = _whole(frames, _readback(t, env) if evaluating else _term(v))
-    truncated = trace is not None and len(trace) > TRACE_CAP
-    if truncated:
-        trace.pop()
+    # every contraction records one event, so the trace lost some past the cap
+    truncated = trace is not None and steps > TRACE_CAP
     if out_of_fuel:
         return Outcome(OutcomeKind.OUT_OF_FUEL, t, steps, None, trace, truncated)
     kind, cont = _classify(t)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import lcatch
-from lcatch import surface
+from lcatch import cli, reduction, surface
 from lcatch.cli import build_parser, main
 from lcatch.prelude import prelude_defs
 from lcatch.surface import expand_term, parse_term
@@ -45,6 +45,17 @@ def test_eval_trace():
     code, out, _ = run_cli("eval", "-e", "(\\x:1. x) ()", "--trace")
     assert code == 0
     assert out.splitlines() == ["step 1: [beta_v] ()", "()"]
+
+
+def test_eval_trace_reports_its_truncation(monkeypatch):
+    argv = ("eval", "--trace", "--count", "-e", "times #2 #2")
+    _, full, _ = run_cli(*argv)
+    monkeypatch.setattr(reduction, "TRACE_CAP", 5)
+    monkeypatch.setattr(cli, "TRACE_CAP", 5)
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert out.splitlines() == [*full.splitlines()[:5],
+                                "... trace truncated after 5 events ...", "#4", "steps: 39"]
 
 
 

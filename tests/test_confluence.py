@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from lcatch import confluence
+from lcatch import confluence, metatheory
 from lcatch.confluence import (
     complete_development, parallel_reducts, reachable_by_reduction, throw_decompositions,
 )
-from lcatch.metatheory import _gen_untyped
+from lcatch.metatheory import GenConfig, _gen_untyped, run_property
 from lcatch.prelude import encode_nat
 from lcatch.reduction import enumerate_redexes
 from lcatch.surface import parse_term, print_term
@@ -229,6 +229,52 @@ def test_parallel_reduction_is_multi_step_reduction():
     for t in _random_terms(CASES, seed=34):
         for u in parallel_reducts(t):
             assert reachable_by_reduction(t, u), (print_term(t), print_term(u))
+
+
+# ------------- the reachability search's budget -------------
+
+TWO_STEPS = "(\\x. x) ((\\y. y) ())"
+
+
+def test_reachability_meets_a_reduct_two_steps_away():
+    assert reachable_by_reduction(p(TWO_STEPS), UNIT) is True
+
+
+def test_reachability_is_false_once_the_graph_is_exhausted():
+    assert reachable_by_reduction(UNIT, Nil()) is False
+
+
+def test_reachability_settles_nothing_once_its_budget_is_spent(monkeypatch):
+    # the first reduction looked at leads to `(\x. x) ()`, not to `()`
+    monkeypatch.setattr(confluence, "_REACH_BUDGET", 1)
+    assert reachable_by_reduction(p(TWO_STEPS), UNIT) is None
+
+
+def test_pred_subset_redd_counts_a_spent_budget_as_inconclusive(monkeypatch):
+    monkeypatch.setattr(confluence, "_REACH_BUDGET", 1)
+    report = run_property("PredSubsetRedd", 50, GenConfig(seed=0, max_size=12))
+    assert report.passed
+    assert report.inconclusive == 20
+
+
+def test_pred_subset_redd_fails_when_one_reduct_is_unreached_and_another_unsettled(monkeypatch):
+    asked = []
+
+    def reachable(start, target):
+        asked.append(target)
+        return None if len(asked) == 1 else False
+
+    monkeypatch.setattr(metatheory, "reachable_by_reduction", reachable)
+    detail = metatheory._check_pred_subset_redd(p(TWO_STEPS))
+    assert len(asked) == 2
+    assert detail == f"parallel reduct {print_term(asked[1])} not reached by ->*"
+
+
+def test_the_default_budget_settles_every_size_20_case():
+    # every parallel reduct of these draws is met within 9 steps
+    report = run_property("PredSubsetRedd", 200, GenConfig(seed=0, max_size=20))
+    assert report.passed
+    assert report.inconclusive == 0
 
 
 def test_takahashi_property():

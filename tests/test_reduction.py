@@ -583,3 +583,26 @@ def test_contractions_per_step_stay_constant_as_terms_grow(monkeypatch, program)
         out = evaluate(t)
         assert out.kind is OutcomeKind.VALUE
         assert built <= out.steps
+
+
+def test_a_traced_run_reads_back_no_term_past_the_trace_cap(monkeypatch):
+    # counted as in the test above; an event's term is read back only
+    # while the trace has room, so at cap 0 tracing builds no node
+    built = 0
+    for cls in (Var, Lam, App, Catch, Throw):
+        def counting(cls, *fields, _new=cls.__new__):
+            nonlocal built
+            built += 1
+            return _new(cls, *fields)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting))
+    monkeypatch.setattr(reduction, "TRACE_CAP", 0)
+    t = expand_term(p("times #5 #5"), list(prelude_defs()))
+    counts = []
+    for keep_trace in (False, True):
+        built = 0
+        out = evaluate(t, keep_trace=keep_trace)
+        counts.append(built)
+    assert counts[0] == counts[1]
+    assert out.trace == []
+    assert out.trace_truncated
