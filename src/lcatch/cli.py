@@ -22,7 +22,7 @@ import sys
 from typing import Optional
 
 from . import metatheory, prelude
-from .reduction import DEFAULT_FUEL, TRACE_CAP, Outcome, OutcomeKind, enumerate_redexes, evaluate
+from .reduction import DEFAULT_FUEL, Outcome, OutcomeKind, enumerate_redexes, evaluate
 from .confluence import complete_development
 from .surface import ParseError, expand_defs, expand_term, parse_program, parse_term, print_term, print_type
 from .syntax import Term
@@ -62,7 +62,7 @@ def render_trace(outcome: Outcome, sugar: bool = False) -> list[str]:
         for k, event in enumerate(outcome.trace, start=1)
     ]
     if outcome.trace_truncated:
-        lines.append(f"... trace truncated after {TRACE_CAP} events ...")
+        lines.append(f"... trace truncated after {len(outcome.trace)} events ...")
     return lines
 
 

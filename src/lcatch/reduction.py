@@ -17,10 +17,11 @@ reduction semantics", 2004).  It states the rules a second time, at its
 own transitions, and shares no code with `contract`; the tests check it
 step by step, trace events included, against a root re-descent built on
 `contract`.  beta binds a closed argument in an environment instead of
-substituting it, lrec_cons continues as a fixed template, and the term
-a state stands for is read back only for the first TRACE_CAP trace
-events and the final or out-of-fuel term.  Step counting is exact: one
-count per applied rule instance, moves between frames are free.
+substituting it, lrec_cons pushes its contractum as frames, a variable
+is looked up in the transition that uses its value, and the term a
+state stands for is read back only for the first TRACE_CAP trace events
+and the final or out-of-fuel term.  Step counting is exact: one count
+per applied rule instance, moves between frames are free.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    _PARTIAL, App, Catch, ConsC, LREC, Lam, LrecC, Nil, Term, Throw, Var, VarSets, children,
+    _PARTIAL, _set_free_vars, App, Catch, ConsC, LREC, Lam, LrecC, Nil, Term, Throw, Var, children,
     fcv, free_vars, replace_child, subst,
 )
 
@@ -270,8 +271,8 @@ def _term(v) -> Term:
 
 def _readback(t: Term, env: dict) -> Term:
     """`t` with each free variable that `env` binds replaced by its value's
-    term.  beta binds closed values only and the lrec_cons template has no
-    binder, so nothing is renamed."""
+    term.  Every value an environment binds is closed, so nothing is
+    renamed."""
     if env:
         for name in free_vars(t).term_vars:
             if name in env:
@@ -279,26 +280,16 @@ def _readback(t: Term, env: dict) -> Term:
     return t
 
 
-def _free(v) -> VarSets:
-    """The free variables of the term a machine value stands for."""
-    if type(v) is _Closure:
-        names = free_vars(v.lam)
-        return VarSets(names.term_vars.difference(v.env), names.cont_vars)
-    return free_vars(v)
-
-
-# lrec_cons continues as `step head tail (rec tail)` under this template,
-# `%r` bound to the redex's own `lrec base step`; no source name has a `%`.
-_LREC_CONS_TEMPLATE = App(App(App(Var("%s"), Var("%h")), Var("%l")), App(Var("%r"), Var("%l")))
-
-
 # A machine frame is one of:
 #   (arg, env)   apply-to: the function position of `f arg`, `arg` unevaluated
+#   [rec, tail]  recursive call: the function position of `f (rec tail)`, as
+#                lrec_cons pushes it; `rec` and `tail` are values
 #   a value      applied: the argument position of `value arg`
 #   a Throw      its payload is the hole
 #   a Catch      its body is the hole
-# An apply-to frame is the only tuple; a value is never a Throw or a Catch.
-_HOLE_AT_0 = (tuple, Throw, Catch)
+# An apply-to frame is the only tuple and a recursive call the only list; a
+# value is never a Throw or a Catch.
+_HOLE_AT_0 = (tuple, list, Throw, Catch)
 
 
 def _whole(frames: list, focus: Term) -> Term:
@@ -307,6 +298,8 @@ def _whole(frames: list, focus: Term) -> Term:
         cls = type(f)
         if cls is tuple:
             focus = App(focus, _readback(*f))
+        elif cls is list:
+            focus = App(focus, App(*f))
         elif cls is Throw or cls is Catch:
             focus = replace_child(f, 0, focus)
         else:
@@ -320,12 +313,24 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
     The machine either evaluates a term under an environment or returns a
     value, a term or a `_Closure`, to the innermost frame.  beta binds a
     closed argument in the environment and substitutes any other at once,
-    so every value an environment binds is closed, save the lrec_cons
-    template's, whose body has no binder: a read-back renames nothing, and
-    a state stands for the term a substitution machine holds, binder names
-    included.  A throw in focus contracts against an application or throw
-    frame before its payload is evaluated, and the catch rules are checked
-    when a throw or a value reaches a catch frame.
+    so every value an environment binds is closed: a read-back renames
+    nothing, and a state stands for the term a substitution machine holds,
+    binder names included.
+
+    A move that only fetches a value is folded into the transition that
+    uses it.  An atom, a variable or a value under an empty environment,
+    is taken where it is used: as a function it is pushed as an applied
+    frame, and as an argument it is returned at once, from its application
+    or from its apply-to frame.  A beta whose body is a variable or a
+    lambda returns the body's value, and a value `c x` whose one bound name
+    is its argument `x` is built in one transition.  lrec_cons pushes
+    `step head tail (rec tail)` as frames, `rec` the redex's own
+    `lrec base step`, and returns `head` to `step`.
+
+    A throw in focus contracts against an application or throw frame
+    before its payload is evaluated, and the catch rules are checked when
+    a throw or a value reaches a catch frame.  An event's path is read off
+    the frames around the redex, before the contractum pushes any.
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
@@ -339,9 +344,32 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
         if evaluating:
             # evaluate `t` under `env`
             cls = type(t)
-            if cls is App and (not t.value or env and not env.keys().isdisjoint(free_vars(t).term_vars)):
-                frames.append((t.arg, env))
-                t = t.fun
+            if cls is App:
+                fun = t.fun
+                if t.value and (not env or env.keys().isdisjoint((t._free_vars or free_vars(t)).term_vars)):
+                    v = t                   # a value that names no variable `env` binds
+                elif type(fun) is Var or not env and fun.value:
+                    # the function is a variable, or a value under no
+                    # environment: push its value and evaluate the argument
+                    frames.append(env.get(fun.name, fun) if env else fun)
+                    t = t.arg
+                    if t.value and not env:
+                        v = t
+                    elif type(t) is Var:
+                        v = env.get(t.name, t)
+                    else:
+                        continue
+                elif t.value and type(t.arg) is Var and env.keys().isdisjoint(
+                        (names := fun._free_vars or free_vars(fun)).term_vars):
+                    # `c x`, whose one bound name is its argument `x`: `x`'s
+                    # value is closed, so `c`'s free variables are the cell's
+                    v = App(fun, _term(env[t.arg.name]))
+                    _set_free_vars(v, names)
+                else:
+                    frames.append((t.arg, env))
+                    t = fun
+                    continue
+                evaluating = False
                 continue
             if cls is Catch:
                 frames.append(t)
@@ -350,7 +378,8 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
             if cls is not Throw:
                 if cls is Var:
                     v = env.get(t.name, t)
-                elif cls is Lam and env and not env.keys().isdisjoint(free_vars(t).term_vars):
+                elif cls is Lam and env and not env.keys().isdisjoint(
+                        (t._free_vars or free_vars(t)).term_vars):
                     v = _Closure(t, env)
                 else:
                     v = t                   # a value that names no variable `env` binds
@@ -375,27 +404,40 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
             f = frames[-1]
             cls = type(f)
             if cls is tuple:
-                # the function is a value: evaluate the argument
-                frames[-1] = v
+                # the function is a value and becomes the applied frame: an
+                # atom argument is returned to it at once, any other evaluated
                 t, env = f
-                evaluating = True
-                continue
-            if cls is Throw:
-                frames.pop()
-                t = Throw(f.cont, _term(v))
-                env = {}
-                evaluating = True
-                continue
+                frames[-1] = f = v
+                if t.value and not env:
+                    v = t
+                elif type(t) is Var:
+                    v = env.get(t.name, t)
+                else:
+                    evaluating = True
+                    continue
+                cls = type(f)
+            elif cls is list:
+                # the function is a value: return `tail` to `rec`, an App
+                frames[-1] = v
+                f, v = f
+                frames.append(f)
+                cls = App
             if cls is Lam or cls is _Closure:
                 rule = _BETA_V
-            elif cls is Catch and f.cont not in _free(v).cont_vars:
-                rule = _CATCH_3
             elif cls is App and type(f.fun) is App and type(f.fun.fun) is LrecC and (
                     type(v) is Nil or type(v) is App and type(v.fun) is App and type(v.fun.fun) is ConsC):
                 rule = _LREC_NIL if type(v) is Nil else _LREC_CONS
             elif cls in _PARTIAL or cls is App and type(f.fun) in _PARTIAL:
                 frames.pop()
                 v = App(f, _term(v))
+                continue
+            elif cls is Catch and f.cont not in free_vars(v.lam if type(v) is _Closure else v).cont_vars:
+                rule = _CATCH_3
+            elif cls is Throw:
+                frames.pop()
+                t = Throw(f.cont, _term(v))
+                env = {}
+                evaluating = True
                 continue
             else:                           # stuck
                 break
@@ -406,27 +448,47 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
         steps += 1
         if rule is _CATCH_1:
             t = t.payload                   # the catch frame stays
+            depth = len(frames) - 1
         else:
             frames.pop()
+            depth = len(frames)
+        # the redex sits under the first `depth` frames
         if rule is _BETA_V:
-            lam = f if type(f) is Lam else f.lam
-            names = _free(v)
-            if not names.term_vars and not names.cont_vars:
-                env = {lam.param: v} if lam is f else {**f.env, lam.param: v}
-                t = lam.body
+            lam = f if cls is Lam else f.lam
+            body = lam.body
+            if type(body) is Var:
+                # the contractum is the variable's value
+                if body.name != lam.param:
+                    v = body if lam is f else f.env.get(body.name, body)
             else:
-                t = subst(_term(f).body, lam.param, _term(v))
-                env = {}
-            evaluating = True
+                if type(v) is _Closure:
+                    names = v.lam._free_vars
+                    closed = not names.cont_vars and v.env.keys() >= names.term_vars
+                else:
+                    names = v._free_vars or free_vars(v)
+                    closed = not names.term_vars and not names.cont_vars
+                if not closed:
+                    t = subst(_term(f).body, lam.param, _term(v))
+                    env = {}
+                    evaluating = True
+                else:
+                    env = {lam.param: v} if lam is f else {**f.env, lam.param: v}
+                    if type(body) is not Lam:
+                        t = body
+                        evaluating = True
+                    elif env.keys().isdisjoint((body._free_vars or free_vars(body)).term_vars):
+                        v = body                # a lambda body is a value at once
+                    else:
+                        v = _Closure(body, env)
         elif rule is _LREC_NIL:
             v = f.fun.arg
         elif rule is _LREC_CONS:
-            t = _LREC_CONS_TEMPLATE
-            env = {"%s": f.arg, "%h": v.fun.arg, "%l": v.arg, "%r": f}
-            evaluating = True
+            # `step head tail (rec tail)`: `step` applied to `head` now, the
+            # result to `tail` and then to `rec tail`
+            tail = v.arg
+            frames += ([f, tail], (tail, {}), f.arg)
+            v = v.fun.arg
         if trace is not None and len(trace) < TRACE_CAP:
-            # the redex is at the hole of `frames`, less the catch frame catch_1 keeps
-            depth = len(frames) - (rule is _CATCH_1)
             path = tuple([0 if type(g) in _HOLE_AT_0 else 1 for g in frames[:depth]])
             focus = _readback(t, env) if evaluating else _term(v)
             trace.append(ReductionEvent(rule, path, _whole(frames, focus)))

@@ -346,9 +346,11 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 # plain stores on the mutable twin, before it freezes the node.  None means
 # "not computed yet", and the first call computes the memo and writes it
 # once through the slot's descriptor (`_set_free_vars`, `_set_alpha_hash`,
-# `_set_type`), since the frozen node refuses plain stores.  Only `numeral`
-# builds nodes with memos stored: each cell's `_free_vars` and the root's
-# `_type`, the values the first calls would compute.  The memos:
+# `_set_type`), since the frozen node refuses plain stores.  Two builders
+# store a memo at once, the value the first call would compute: `numeral`
+# each cell's `_free_vars` and the root's `_type`, and the CBV machine the
+# `_free_vars` of a value `c x` it builds from a closed value of `x`.  The
+# memos:
 #   _free_vars   free_vars
 #   _alpha_hash  Term.__hash__: a structural hash that skips every name
 #   _type        typecheck.infer: (type, metavariables its walk allocated)

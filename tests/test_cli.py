@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import lcatch
-from lcatch import cli, reduction, surface
+from lcatch import reduction, surface
 from lcatch.cli import build_parser, main
 from lcatch.prelude import prelude_defs
 from lcatch.surface import expand_term, parse_term
@@ -51,7 +51,6 @@ def test_eval_trace_reports_its_truncation(monkeypatch):
     argv = ("eval", "--trace", "--count", "-e", "times #2 #2")
     _, full, _ = run_cli(*argv)
     monkeypatch.setattr(reduction, "TRACE_CAP", 5)
-    monkeypatch.setattr(cli, "TRACE_CAP", 5)
     code, out, _ = run_cli(*argv)
     assert code == 0
     assert out.splitlines() == [*full.splitlines()[:5],

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from collections import Counter
@@ -17,7 +18,7 @@ from lcatch.reduction import (
 from lcatch.surface import expand_term, parse_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, Var, alpha_eq, canonical,
-    children, fcv, replace_at, subst, subterm_at,
+    children, fcv, free_vars, replace_at, subst, subterm_at,
 )
 
 from test_syntax import deep, draw, identical, oracle_canonical
@@ -54,10 +55,10 @@ def test_contract_lrec_cons():
 
 
 def test_lrec_cons_reuses_the_redex_recursor_node():
-    # the redex lister contracts the view's own slots and the machine binds
-    # its template's `%r` to the redex's `lrec base step`, so both build the
-    # recursive call on that node; development passes developed slots and
-    # builds a new one
+    # the redex lister contracts the view's own slots and the machine pushes
+    # the redex's `lrec base step` in its recursive-call frame, so both build
+    # the recursive call on that node; development passes developed slots
+    # and builds a new one
     t = p("lrec () (\\h. \\t. \\r. r) [(), ()]")
     for out in (contract(t)[1], step_cbv(t).result, evaluate(t, fuel=1).term,
                 enumerate_redexes(t)[-1].result):
@@ -542,6 +543,48 @@ def test_machine_matches_oracle_past_trace_cap(monkeypatch):
     t = expand_term(p("times #2 #2"), list(prelude_defs()))
     _assert_same_run(t, reduction.DEFAULT_FUEL)
     assert evaluate(t, keep_trace=True).trace_truncated
+
+
+# every fuel from 0 to the run's step count, so an out-of-fuel stop lands
+# after each kind of transition the machine fuses, the frames lrec_cons
+# pushes included
+@pytest.mark.parametrize("src", [
+    "times #3 #3", "plus #4 #3", "pred #6", "prodz [#2, #0, #3]", "prodz [#2, #1, #3]",
+])
+def test_machine_matches_oracle_at_every_fuel(src):
+    t = expand_term(p(src), list(prelude_defs()))
+    steps = evaluate(t).steps
+    for fuel in range(steps + 1):
+        _assert_same_run(t, fuel)
+
+
+# open terms at the machine's fused transitions, with the outcome each ends in
+@pytest.mark.parametrize("src, kind, steps, result", [
+    # an application of two free variables, and a function of a free one
+    ("f x", OutcomeKind.ILL_FORMED, 0, "f x"),
+    ("(\\x. \\y. x y) f", OutcomeKind.VALUE, 1, "\\y. f y"),
+    # beta into a variable body, the argument free
+    ("(\\y. y) x", OutcomeKind.VALUE, 1, "x"),
+    ("(\\y. f y) x", OutcomeKind.ILL_FORMED, 1, "f x"),
+    ("() x", OutcomeKind.ILL_FORMED, 0, "() x"),
+    # `cons () y` with `y` free, and with `y` bound to a closure read back
+    ("cons () y", OutcomeKind.VALUE, 0, "cons () y"),
+    ("(\\w. (\\y. cons () y) (\\z. w)) ()", OutcomeKind.VALUE, 2, "cons () (\\z. ())"),
+    ("(\\y. cons f y) ()", OutcomeKind.VALUE, 1, "cons f ()"),
+    # the recursive call lrec_cons pushes meets a free tail and is stuck
+    ("lrec r (\\h. \\u. \\k. k) (cons () t)", OutcomeKind.ILL_FORMED, 3,
+     "(\\k. k) (lrec r (\\h. \\u. \\k. k) t)"),
+])
+def test_machine_matches_oracle_on_open_terms(src, kind, steps, result):
+    t = p(src)
+    out = evaluate(t)
+    assert (out.kind, out.steps) == (kind, steps)
+    assert identical(out.term, p(result))
+    # the free-variable memo the machine stores on a cell it builds is the
+    # one a walk of a memo-free copy computes
+    assert free_vars(out.term) == free_vars(copy.deepcopy(out.term))
+    for fuel in range(steps + 2):
+        _assert_same_run(t, fuel)
 
 
 def test_machine_shares_no_rule_code_with_contract(monkeypatch):
