@@ -21,11 +21,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Optional
 
-from .reduction import Rule, contractum, enumerate_redexes, redex
+from .reduction import _THROW, Rule, contractum, enumerate_redexes, redex
 from .syntax import App, Catch, Lam, Term, Throw, fcv
-
-# a global, as in reduction: looking the member up on the enum costs more
-_THROW = Rule.THROW
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ reduction semantics", 2004).  It states the rules a second time, at its
 own transitions, and shares no code with `contract`; the tests check it
 step by step, trace events included, against a root re-descent built on
 `contract`.  beta binds a closed argument in an environment instead of
-substituting it, lrec_cons pushes its contractum as frames, a variable
-is looked up in the transition that uses its value, and the term a
-state stands for is read back only for the first TRACE_CAP trace events
-and the final or out-of-fuel term.  Step counting is exact: one count
-per applied rule instance, moves between frames are free.
+substituting it, lrec_cons pushes its contractum as frames, and the term
+a state stands for is read back only for the first TRACE_CAP trace
+events and the final or out-of-fuel term.  Step counting is exact: one
+count per applied rule instance, moves between frames are free.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ class Rule(enum.Enum):
     LREC_CONS = "lrec_cons"
 
 
-# The rules, in `Rule`'s order, as globals for the redex view and the
-# machine's loop: looking a member up on the enum costs about ten times as
-# much.
+# The rules, in `Rule`'s order, as globals for the redex view, the
+# machine's loop and `confluence`: looking a member up on the enum costs
+# about ten times as much.
 _BETA_V, _THROW, _CATCH_1, _CATCH_2, _CATCH_3, _LREC_NIL, _LREC_CONS = Rule
 
 
@@ -317,15 +316,12 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
     nothing, and a state stands for the term a substitution machine holds,
     binder names included.
 
-    A move that only fetches a value is folded into the transition that
-    uses it.  An atom, a variable or a value under an empty environment,
-    is taken where it is used: as a function it is pushed as an applied
-    frame, and as an argument it is returned at once, from its application
-    or from its apply-to frame.  A beta whose body is a variable or a
-    lambda returns the body's value, and a value `c x` whose one bound name
-    is its argument `x` is built in one transition.  lrec_cons pushes
-    `step head tail (rec tail)` as frames, `rec` the redex's own
-    `lrec base step`, and returns `head` to `step`.
+    A variable, a value or a closure is taken in one place, where the
+    machine evaluates a term that is not an application.  Two moves are
+    fused: a value `c x` whose one bound name is its argument `x` is built
+    in one transition, and lrec_cons pushes `step head tail (rec tail)` as
+    frames, `rec` the redex's own `lrec base step`, and returns `head` to
+    `step`.
 
     A throw in focus contracts against an application or throw frame
     before its payload is evaluated, and the catch rules are checked when
@@ -348,17 +344,6 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
                 fun = t.fun
                 if t.value and (not env or env.keys().isdisjoint((t._free_vars or free_vars(t)).term_vars)):
                     v = t                   # a value that names no variable `env` binds
-                elif type(fun) is Var or not env and fun.value:
-                    # the function is a variable, or a value under no
-                    # environment: push its value and evaluate the argument
-                    frames.append(env.get(fun.name, fun) if env else fun)
-                    t = t.arg
-                    if t.value and not env:
-                        v = t
-                    elif type(t) is Var:
-                        v = env.get(t.name, t)
-                    else:
-                        continue
                 elif t.value and type(t.arg) is Var and env.keys().isdisjoint(
                         (names := fun._free_vars or free_vars(fun)).term_vars):
                     # `c x`, whose one bound name is its argument `x`: `x`'s
@@ -404,19 +389,12 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
             f = frames[-1]
             cls = type(f)
             if cls is tuple:
-                # the function is a value and becomes the applied frame: an
-                # atom argument is returned to it at once, any other evaluated
+                # the function is a value and becomes the applied frame
                 t, env = f
-                frames[-1] = f = v
-                if t.value and not env:
-                    v = t
-                elif type(t) is Var:
-                    v = env.get(t.name, t)
-                else:
-                    evaluating = True
-                    continue
-                cls = type(f)
-            elif cls is list:
+                frames[-1] = v
+                evaluating = True
+                continue
+            if cls is list:
                 # the function is a value: return `tail` to `rec`, an App
                 frames[-1] = v
                 f, v = f
@@ -455,31 +433,19 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
         # the redex sits under the first `depth` frames
         if rule is _BETA_V:
             lam = f if cls is Lam else f.lam
-            body = lam.body
-            if type(body) is Var:
-                # the contractum is the variable's value
-                if body.name != lam.param:
-                    v = body if lam is f else f.env.get(body.name, body)
+            if type(v) is _Closure:
+                names = v.lam._free_vars
+                closed = not names.cont_vars and v.env.keys() >= names.term_vars
             else:
-                if type(v) is _Closure:
-                    names = v.lam._free_vars
-                    closed = not names.cont_vars and v.env.keys() >= names.term_vars
-                else:
-                    names = v._free_vars or free_vars(v)
-                    closed = not names.term_vars and not names.cont_vars
-                if not closed:
-                    t = subst(_term(f).body, lam.param, _term(v))
-                    env = {}
-                    evaluating = True
-                else:
-                    env = {lam.param: v} if lam is f else {**f.env, lam.param: v}
-                    if type(body) is not Lam:
-                        t = body
-                        evaluating = True
-                    elif env.keys().isdisjoint((body._free_vars or free_vars(body)).term_vars):
-                        v = body                # a lambda body is a value at once
-                    else:
-                        v = _Closure(body, env)
+                names = v._free_vars or free_vars(v)
+                closed = not names.term_vars and not names.cont_vars
+            if closed:
+                t = lam.body
+                env = {lam.param: v} if lam is f else {**f.env, lam.param: v}
+            else:
+                t = subst(_term(f).body, lam.param, _term(v))
+                env = {}
+            evaluating = True
         elif rule is _LREC_NIL:
             v = f.fun.arg
         elif rule is _LREC_CONS:

@@ -558,7 +558,7 @@ def test_machine_matches_oracle_at_every_fuel(src):
         _assert_same_run(t, fuel)
 
 
-# open terms at the machine's fused transitions, with the outcome each ends in
+# open terms at the machine's transitions, with the outcome each ends in
 @pytest.mark.parametrize("src, kind, steps, result", [
     # an application of two free variables, and a function of a free one
     ("f x", OutcomeKind.ILL_FORMED, 0, "f x"),

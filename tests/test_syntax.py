@@ -6,7 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -29,8 +29,34 @@ p = parse_term
 
 def identical(a, b):
     """Equality that pins every name, bound ones included: `==` on terms is
-    alpha-equivalence, while `repr` shows each node's fields as built."""
-    return repr(a) == repr(b)
+    alpha-equivalence, while this compares each node's class and fields as
+    built, as `repr` shows them.  Terms, tuples, lists and dataclasses are
+    compared part by part from a work list, so an argument spine or any
+    other nest costs no host frame, and a node both sides share is passed
+    over at once; any other value, an enum member included, by `==`."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if isinstance(a, Term):
+            names = cls.__match_args__
+        elif cls is tuple or cls is list:
+            if len(a) != len(b):
+                return False
+            todo += zip(a, b)
+            continue
+        elif is_dataclass(a):
+            names = [f.name for f in fields(a)]
+        elif a != b:
+            return False
+        else:
+            continue
+        todo += [(getattr(a, name), getattr(b, name)) for name in names]
+    return True
 
 
 def deep(test):
@@ -775,6 +801,25 @@ def test_a_dict_of_terms_keeps_the_first_alpha_variant():
     assert variant in seen and len({first, variant}) == 1
     assert first == variant and not identical(first, variant) and hash(first) == hash(variant)
     assert first != "\\x. catch a. throw a x" and UNIT != ()
+
+
+def test_identical_pins_names_and_agrees_with_repr():
+    assert p("\\x. x") == p("\\y. y") and not identical(p("\\x. x"), p("\\y. y"))
+    assert identical(p("\\x. x"), p("\\x. x"))
+    # each generated term, its reducts and development, their memo-free
+    # copies and their `!`-renamed alpha variants, one group at a time;
+    # the redex lists hold dataclasses, enums and tuples
+    checked = 0
+    for group in _node_groups():
+        terms = group + [copy.deepcopy(t) for t in group] + [oracle_canonical(t) for t in group]
+        redexes = [enumerate_redexes(t) for t in terms]
+        reprs = [(repr(t), repr(events)) for t, events in zip(terms, redexes)]
+        for i, u in enumerate(terms):
+            for j, v in enumerate(terms):
+                assert identical(u, v) is (reprs[i][0] == reprs[j][0])
+                assert identical(redexes[i], redexes[j]) is (reprs[i][1] == reprs[j][1])
+                checked += reprs[i][0] == reprs[j][0] and u is not v
+    assert checked > 1000
 
 
 _FORM_LIKE = ("x", "!x1", "!x2", "!!x1", "a", "!k1", "!k2")
