@@ -280,7 +280,7 @@ def _paths(u: Term, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
 GRAPH_NODE_CAP = 20000
 
 
-def reduction_graph_status(t: Term, cap: int = GRAPH_NODE_CAP) -> str:
+def reduction_graph_status(t: Term) -> str:
     """Explore the full reduction graph: 'acyclic', 'cyclic', or 'overflow'."""
     GREY, BLACK = 1, 2
     # terms compare up to alpha, so each node of the graph is an alpha class
@@ -298,7 +298,7 @@ def reduction_graph_status(t: Term, cap: int = GRAPH_NODE_CAP) -> str:
         if color == GREY:
             return "cyclic"
         if color is None:
-            if len(colors) >= cap:
+            if len(colors) >= GRAPH_NODE_CAP:
                 return "overflow"
             colors[child] = GREY
             stack.append((child, (event.result for event in enumerate_redexes(child))))
@@ -410,32 +410,21 @@ def _check_sn(t: Term) -> Optional[str]:
     return None
 
 
-def _list_of_values(t: Term) -> bool:
-    while True:
-        match t:
-            case Nil():
-                return True
-            case App(App(ConsC(), head), tail) if head.value:
-                t = tail
-            case _:
-                return False
+def _is_cons_cell(v: Term) -> bool:
+    return type(v) is App and type(v.fun) is App and type(v.fun.fun) is ConsC
 
 
 def _value_shape_ok(v: Term, ty: Type) -> bool:
+    """Whether the value `v` has a canonical form of `ty`.  `App.value`
+    makes a value's parts values, so its outer nodes settle it: a list is
+    full cons cells down to `[]`, a function a lambda, constant or other App."""
     if ty == UNIT_TYPE:
-        return isinstance(v, UnitVal)
-    if isinstance(ty, ListType):
-        return _list_of_values(v)
-    match v:
-        case ConsC() | LrecC() | Lam():
-            return True
-        case App(ConsC(), w) if w.value:
-            return True
-        case App(LrecC(), w) if w.value:
-            return True
-        case App(App(LrecC(), w1), w2) if w1.value and w2.value:
-            return True
-    return False
+        return type(v) is UnitVal
+    if type(ty) is ListType:
+        while _is_cons_cell(v):
+            v = v.arg
+        return type(v) is Nil
+    return type(v) in (Lam, ConsC, LrecC) or type(v) is App and not _is_cons_cell(v)
 
 
 def _check_value_shapes(t: Term) -> Optional[str]:

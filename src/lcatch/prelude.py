@@ -31,9 +31,7 @@ class NamedTerm:
 
 
 def encode_nat(n: int) -> Term:
-    """suc^n zero; the numeral for n at type [1]."""
-    if n < 0:
-        raise ValueError("cannot encode a negative number")
+    """suc^n zero; the numeral for n at type [1].  `numeral` rejects n < 0."""
     return numeral(n)
 
 

@@ -268,6 +268,8 @@ def numeral(n: int) -> Term:
     so no walk goes past a numeral's root.  The count: per cell, one
     metavariable for `cons`'s element type and one step at each of its two
     applications (each function type is a known arrow); plus one for nil."""
+    if n < 0:
+        raise ValueError("cannot encode a negative number")
     suc = App(CONS, UNIT)
     out: Term = Nil()
     for _ in range(n):

@@ -325,7 +325,7 @@ def _solve(solver: _Solver, env: TypingEnv, t: Term, expected: Optional[Type] = 
     solved), check the side conditions (with `ground`, first solving their
     open metavariables as unit), and return the solved type of `t`."""
     conds: list = []
-    ty = _constrain(solver, t, dict(env.gamma), dict(env.delta), None, conds)
+    ty = _constrain(solver, t, env.gamma, env.delta, None, conds)
     if expected is None:
         conds.insert(0, (_RESULT, ty, None))
     else:

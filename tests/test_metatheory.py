@@ -6,13 +6,15 @@ import pytest
 
 from lcatch import metatheory
 from lcatch.metatheory import (
-    GenConfig, PROPERTIES, PropertyReport, _draw_untyped, _gen_untyped, gen_term, minimize,
-    reduction_graph_status, run_property,
+    GenConfig, PROPERTIES, PropertyReport, _draw_untyped, _gen_untyped, _value_shape_ok,
+    gen_term, minimize, reduction_graph_status, run_property,
 )
 from lcatch.prelude import prelude_defs
 from lcatch.reduction import Outcome, OutcomeKind, Rule, enumerate_redexes, evaluate
 from lcatch.surface import expand_term, parse_term, print_term
-from lcatch.syntax import Catch, UNIT, UNIT_TYPE, alpha_eq, canonical, size
+from lcatch.syntax import (
+    CONS, App, ArrowType, Catch, ListType, Nil, UNIT, UNIT_TYPE, alpha_eq, canonical, size,
+)
 from lcatch.typecheck import TypingEnv, infer
 
 p = parse_term
@@ -150,9 +152,29 @@ def test_graph_status_detects_cycles():
     assert reduction_graph_status(omega) == "cyclic"
 
 
-def test_graph_status_overflow():
+def test_graph_status_overflow(monkeypatch):
+    monkeypatch.setattr(metatheory, "GRAPH_NODE_CAP", 40)
     grower = p("(\\x. x x) (\\y. y y y)")
-    assert reduction_graph_status(grower, cap=40) == "overflow"
+    assert reduction_graph_status(grower) == "overflow"
+
+
+_SHAPE_VALUES = ("()", "[]", "[()]", "[(), ()]", "[[()]]", "cons", "cons ()", "lrec",
+                 "lrec ()", "lrec () (\\x. x)", "\\x. x")
+_NAT = ListType(UNIT_TYPE)
+_SHAPE_TYPES = (UNIT_TYPE, _NAT, ListType(_NAT), ArrowType(UNIT_TYPE, UNIT_TYPE),
+                ArrowType(_NAT, _NAT))
+
+
+def test_value_shape_truth_table():
+    # the shape is read off the value, not checked against element types:
+    # each list passes at both list types, each function at both arrows
+    unit, lists, arrows = _SHAPE_TYPES[:1], _SHAPE_TYPES[1:3], _SHAPE_TYPES[3:]
+    expected = {"()": unit, **dict.fromkeys(_SHAPE_VALUES[1:5], lists),
+                **dict.fromkeys(_SHAPE_VALUES[5:], arrows)}
+    for src, passing in expected.items():
+        assert p(src).value, src
+        for ty in _SHAPE_TYPES:
+            assert _value_shape_ok(p(src), ty) == (ty in passing), (src, ty)
 
 
 def test_graph_explorer_agrees_with_evaluator():
@@ -255,6 +277,13 @@ _MUTANTS = {
     "graph_overflow": ("reduction_graph_status", lambda t, cap=0: "overflow"),
     "evaluate": ("evaluate", lambda t, fuel=0, keep_trace=False:
                  Outcome(OutcomeKind.OUT_OF_FUEL, t, 0)),
+    # every case evaluates to one value, of the wrong shape for some types
+    "value_unit": ("evaluate", lambda t, fuel=0, keep_trace=False:
+                   Outcome(OutcomeKind.VALUE, UNIT, 0)),
+    "value_nil": ("evaluate", lambda t, fuel=0, keep_trace=False:
+                  Outcome(OutcomeKind.VALUE, Nil(), 0)),
+    "value_cons": ("evaluate", lambda t, fuel=0, keep_trace=False:
+                   Outcome(OutcomeKind.VALUE, App(CONS, UNIT), 0)),
 }
 
 _SHRUNK_CONFLUENCE = ("FAIL seed=40 term=throw a throw b ()",
@@ -300,6 +329,10 @@ _MUTANT_REPORTS = {
     ("evaluate", "StrongNormalization"): (_TYPED_DRAWS[:2] + _TYPED_DRAWS[3:4], 0),
     ("evaluate", "ValueShapes"): (_TYPED_DRAWS, 0),
     ("evaluate", "FcvClosed"): (_TYPED_DRAWS, 0),
+    # seed 42 draws a list type and the other five draw unit
+    ("value_unit", "ValueShapes"): (_TYPED_DRAWS[2:3], 0),
+    ("value_nil", "ValueShapes"): (_TYPED_DRAWS[:2] + _TYPED_DRAWS[3:], 0),
+    ("value_cons", "ValueShapes"): (_TYPED_DRAWS, 0),
 }
 
 

@@ -939,6 +939,12 @@ def test_every_cell_of_a_numeral_shares_one_cons_unit_node(n):
         assert t == cons(UNIT, numeral(n - 1))
 
 
+def test_numeral_rejects_a_negative_count():
+    # a negative count builds no [] that carries a numeral's type memo
+    with pytest.raises(ValueError, match="cannot encode a negative number"):
+        numeral(-1)
+
+
 @deep
 def test_long_lists_copy_and_pickle():
     assert sys.getrecursionlimit() <= 1000

@@ -158,6 +158,28 @@ def test_derivable_rejects_wrong_type():
                          ArrowType(UNIT_TYPE, UNIT_TYPE))
 
 
+def test_typing_leaves_the_environment_unchanged():
+    # each binder, x and a shadowing the environment's, extends a new dict
+    env = TypingEnv(gamma={"x": NAT}, delta={"a": UNIT_TYPE})
+    gamma, delta = env.gamma, env.delta
+    good = p("(\\x: 1. catch a. throw a x) (catch b. throw a ())")
+    bad = p("(\\x: 1. catch a. throw a x) (catch b. throw b [])")
+
+    def unchanged():
+        return (env.gamma is gamma and gamma == {"x": NAT}
+                and env.delta is delta and delta == {"a": UNIT_TYPE})
+
+    assert infer(env, good) == UNIT_TYPE and unchanged()
+    check(env, good, UNIT_TYPE)
+    assert unchanged()
+    assert derivable(env, good, UNIT_TYPE) and unchanged()
+    assert not derivable(env, bad, UNIT_TYPE) and unchanged()
+    for judge in (infer, lambda e, t: check(e, t, UNIT_TYPE)):
+        with pytest.raises(TypingError):
+            judge(env, bad)
+        assert unchanged()
+
+
 # ------------- continuation closure of values -------------
 
 
