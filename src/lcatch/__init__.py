@@ -9,7 +9,7 @@ property-based test bench for the calculus' metatheory.
 
 from .syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, MetaVar, Nil, Term,
-    Throw, Type, UnitType, UnitVal, Var, alpha_eq, free_vars, size, subst,
+    Throw, Type, UnitType, UnitVal, Var, alpha_eq, free_vars, numeral, size, subst,
 )
 from .surface import ParseError, SourceProgram, parse_program, parse_term, print_term, print_type
 from .typecheck import (
@@ -20,7 +20,7 @@ from .reduction import (
     evaluate, step_cbv,
 )
 from .confluence import complete_development, parallel_reducts
-from .prelude import NamedTerm, NotANumeral, decode_nat, encode_nat, library
+from .prelude import NamedTerm, NotANumeral, decode_nat, library
 from .metatheory import GenConfig, PropertyReport, gen_term, minimize, run_property
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ smaller term of the same draw when the row says so.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .confluence import complete_development, parallel_reducts, reachable_by_reduction
@@ -24,7 +24,7 @@ from .surface import print_term, print_type
 from .syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, Nil, Term, Throw,
     Type, UNIT, UNIT_TYPE, UnitVal, Var, children, cons, fcv,
-    lrec, replace_at, size, subterm_at,
+    is_cons_cell, lrec, replace_at, size, subterm_at,
 )
 from .typecheck import TypingEnv, TypingError, derivable, infer, is_arrow_free
 
@@ -33,7 +33,6 @@ from .typecheck import TypingEnv, TypingError, derivable, infer, is_arrow_free
 class GenConfig:
     seed: int = 0
     max_size: int = 20
-    target_type: Optional[Type] = None
 
     def __post_init__(self):
         if self.max_size < 1:
@@ -44,8 +43,8 @@ class GenConfig:
 class PropertyReport:
     property: str
     cases_run: int
-    failures: list[tuple[int, Term, str]] = field(default_factory=list)
-    inconclusive: int = 0
+    failures: list[tuple[int, Term, str]] = field(default_factory=list, init=False)
+    inconclusive: int = field(default=0, init=False)
 
     @property
     def passed(self) -> bool:
@@ -212,14 +211,11 @@ def _gen_untyped(rng: random.Random, budget: int, depth: int) -> Term:
 # Public generator
 
 
-def _gen_with_rng(rng: random.Random, cfg: GenConfig) -> Term:
-    target = cfg.target_type
-    if target is None:
-        target = _random_type(rng, depth=2)
+def _gen_with_rng(rng: random.Random, max_size: int, target: Type) -> Term:
     for _ in range(20):
-        term = _gen_typed(rng, target, {}, {}, cfg.max_size, 0, _CONT_DEPTH)
+        term = _gen_typed(rng, target, {}, {}, max_size, 0, _CONT_DEPTH)
         try:
-            infer(TypingEnv(), term)
+            infer(_EMPTY_ENV, term)
             return term
         except TypingError:
             continue
@@ -230,7 +226,7 @@ def _gen_with_rng(rng: random.Random, cfg: GenConfig) -> Term:
 
 def gen_term(cfg: GenConfig) -> Term:
     """Deterministic random closed well-typed term for the given configuration."""
-    return _gen_with_rng(random.Random(cfg.seed), cfg)
+    return _draw_typed(random.Random(cfg.seed), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +308,7 @@ def reduction_graph_status(t: Term) -> str:
 
 
 def _draw_typed(rng: random.Random, cfg: GenConfig) -> Term:
-    return _gen_with_rng(rng, cfg)
+    return _gen_with_rng(rng, cfg.max_size, _random_type(rng, depth=2))
 
 
 def _draw_untyped(rng: random.Random, cfg: GenConfig) -> Term:
@@ -329,10 +325,8 @@ def _draw_non_value(rng: random.Random, cfg: GenConfig) -> Optional[Term]:
 
 
 def _draw_arrow_free(rng: random.Random, cfg: GenConfig) -> Term:
-    """A typed term at the target type, else at a random arrow-free type."""
-    if cfg.target_type is None:
-        cfg = replace(cfg, target_type=_random_type(rng, depth=2, arrows=False))
-    return _draw_typed(rng, cfg)
+    """A typed term at a random arrow-free type."""
+    return _gen_with_rng(rng, cfg.max_size, _random_type(rng, depth=2, arrows=False))
 
 
 # The detail of a case that settles nothing: a reduction graph that outgrows
@@ -410,10 +404,6 @@ def _check_sn(t: Term) -> Optional[str]:
     return None
 
 
-def _is_cons_cell(v: Term) -> bool:
-    return type(v) is App and type(v.fun) is App and type(v.fun.fun) is ConsC
-
-
 def _value_shape_ok(v: Term, ty: Type) -> bool:
     """Whether the value `v` has a canonical form of `ty`.  `App.value`
     makes a value's parts values, so its outer nodes settle it: a list is
@@ -421,10 +411,10 @@ def _value_shape_ok(v: Term, ty: Type) -> bool:
     if ty == UNIT_TYPE:
         return type(v) is UnitVal
     if type(ty) is ListType:
-        while _is_cons_cell(v):
+        while is_cons_cell(v):
             v = v.arg
         return type(v) is Nil
-    return type(v) in (Lam, ConsC, LrecC) or type(v) is App and not _is_cons_cell(v)
+    return type(v) in (Lam, ConsC, LrecC) or type(v) is App and not is_cons_cell(v)
 
 
 def _check_value_shapes(t: Term) -> Optional[str]:

@@ -1,9 +1,9 @@
-"""The bundled term library: numerals and the named prelude programs.
+"""The bundled term library: the named prelude programs, and numerals read back.
 
-Naturals are unit lists: zero is nil, successor is `cons ()`.  The
-prelude ships as an `.lc` source file parsed at import of `library()`;
-its definitions (nrec, pred, plus, times, prodz) are expanded by
-substitution and type checked.
+Naturals are unit lists: zero is nil, successor is `cons ()`, and
+`syntax.numeral` builds them.  The prelude ships as an `.lc` source file
+parsed at import of `library()`; its definitions (nrec, pred, plus,
+times, prodz) are expanded by substitution and type checked.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .surface import SourceProgram, expand_defs, parse_program
-from .syntax import App, ConsC, Nil, Term, Type, UnitVal, numeral
+from .syntax import Nil, Term, Type, UnitVal, is_cons_cell
 from .typecheck import TypingEnv, infer
 
 
@@ -30,23 +30,15 @@ class NamedTerm:
     declared_type: Type
 
 
-def encode_nat(n: int) -> Term:
-    """suc^n zero; the numeral for n at type [1].  `numeral` rejects n < 0."""
-    return numeral(n)
-
-
 def decode_nat(v: Term) -> int:
-    """Inverse of encode_nat; raises NotANumeral for any other term."""
+    """Inverse of `syntax.numeral`; raises NotANumeral for any other term."""
     n = 0
-    while True:
-        match v:
-            case Nil():
-                return n
-            case App(App(ConsC(), UnitVal()), tail):
-                n += 1
-                v = tail
-            case _:
-                raise NotANumeral(f"not a numeral: {v!r}")
+    while is_cons_cell(v) and type(v.fun.arg) is UnitVal:
+        n += 1
+        v = v.arg
+    if type(v) is not Nil:
+        raise NotANumeral(f"not a numeral: {v!r}")
+    return n
 
 
 def prelude_source() -> str:

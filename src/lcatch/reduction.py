@@ -31,7 +31,7 @@ from typing import Optional
 
 from .syntax import (
     _PARTIAL, _set_free_vars, App, Catch, ConsC, LREC, Lam, LrecC, Nil, Term, Throw, Var, children,
-    fcv, free_vars, replace_child, subst,
+    fcv, free_vars, is_cons_cell, replace_child, subst,
 )
 
 
@@ -64,9 +64,10 @@ def redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
     """The rule whose left-hand side `t` matches at its root, with the
     slots its contractum is built from, or None if the root is no redex.
 
-    This is the only place the rules' patterns and side conditions are
-    written.  It dispatches on the root constructor, and at most one rule
-    can match a given root: App is beta_v, lrec_nil, lrec_cons or throw;
+    `contract`, `enumerate_redexes` and `confluence` share this statement
+    of the rules' patterns and side conditions; the CBV machine restates
+    them, and the tests check it step by step against this one.  At most
+    one rule can match a root: App is beta_v, lrec_nil, lrec_cons or throw;
     Catch is catch_1, catch_2 or catch_3; Throw is throw only.  The slots
     are the subterms the contractum keeps: (body, argument) for beta_v,
     (base,) for lrec_nil, (base, step, head, tail) for lrec_cons, the
@@ -95,10 +96,8 @@ def redex(t: Term) -> Optional[tuple[Rule, tuple[Term, ...]]]:
             return None
         if type(arg) is Nil:
             return _LREC_NIL, (rec.arg,)
-        if type(arg) is App:
-            cell = arg.fun
-            if type(cell) is App and type(cell.fun) is ConsC:
-                return _LREC_CONS, (rec.arg, fun.arg, cell.arg, arg.arg)
+        if is_cons_cell(arg):
+            return _LREC_CONS, (rec.arg, fun.arg, arg.fun.arg, arg.arg)
         return None
     if cls is Catch:
         cont, body = t.cont, t.body

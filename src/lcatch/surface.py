@@ -57,8 +57,8 @@ class ParseError(Exception):
 
 @dataclass
 class SourceProgram:
-    defs: list[tuple[str, Term]] = field(default_factory=list)
-    main: Optional[Term] = None
+    defs: list[tuple[str, Term]] = field(default_factory=list, init=False)
+    main: Optional[Term] = field(default=None, init=False)
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,11 @@ def cons(head: Term, tail: Term) -> Term:
     return App(App(CONS, head), tail)
 
 
+def is_cons_cell(t: Term) -> bool:
+    """Whether `t` is a full cons cell `cons h t'`."""
+    return type(t) is App and type(t.fun) is App and type(t.fun.fun) is ConsC
+
+
 def numeral(n: int) -> Term:
     """suc^n zero, the numeral for `n` at type [1]: its `n` cells share one
     `cons ()` node, so each costs one App.  Each cell is built closed, with

@@ -14,7 +14,7 @@ from lcatch.confluence import (
     complete_development, parallel_reducts, reachable_by_reduction,
 )
 from lcatch.metatheory import (
-    GenConfig, _gen_untyped, _gen_with_rng, gen_term, reduction_graph_status,
+    GenConfig, _gen_untyped, gen_term, reduction_graph_status,
     run_property,
 )
 from lcatch.prelude import decode_nat, prelude_defs
@@ -168,7 +168,7 @@ def test_10_parser_round_trip():
         assert alpha_eq(parse_term(print_term(t, sugar=case % 2 == 0)), t), \
             print_term(t)
     for seed in range(4000):
-        t = _gen_with_rng(random.Random(seed), GenConfig(seed=seed, max_size=18))
+        t = gen_term(GenConfig(seed=seed, max_size=18))
         assert alpha_eq(parse_term(print_term(t, sugar=seed % 2 == 0)), t), \
             print_term(t)
     _passed(10, "parse/print round trip holds on 10000 generated terms")

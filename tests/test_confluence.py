@@ -7,12 +7,11 @@ from lcatch.confluence import (
     complete_development, parallel_reducts, reachable_by_reduction, throw_decompositions,
 )
 from lcatch.metatheory import GenConfig, _gen_untyped, run_property
-from lcatch.prelude import encode_nat
 from lcatch.reduction import enumerate_redexes
 from lcatch.surface import parse_term, print_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, Var, alpha_eq, canonical,
-    fcv, free_vars, subst, subterm_at,
+    fcv, free_vars, numeral, subst, subterm_at,
 )
 
 from test_syntax import draw, identical
@@ -125,8 +124,8 @@ def test_develop_walks_a_long_list_in_linear_time(monkeypatch):
         return real(t)
 
     monkeypatch.setattr(confluence, "throw_decompositions", counting)
-    numeral = encode_nat(800)
-    assert complete_development(numeral) == numeral
+    n800 = numeral(800)
+    assert complete_development(n800) == n800
     assert calls == 0
     t = Throw("a", UNIT)
     for _ in range(800):

@@ -6,8 +6,9 @@ import pytest
 
 from lcatch import metatheory
 from lcatch.metatheory import (
-    GenConfig, PROPERTIES, PropertyReport, _draw_untyped, _gen_untyped, _value_shape_ok,
-    gen_term, minimize, reduction_graph_status, run_property,
+    GenConfig, PROPERTIES, PropertyReport, _draw_arrow_free, _draw_non_value, _draw_untyped,
+    _gen_untyped, _gen_with_rng, _value_shape_ok, gen_term, minimize, reduction_graph_status,
+    run_property,
 )
 from lcatch.prelude import prelude_defs
 from lcatch.reduction import Outcome, OutcomeKind, Rule, enumerate_redexes, evaluate
@@ -37,9 +38,8 @@ def test_typed_generation_is_sound():
 
 
 def test_typed_generation_hits_target_type():
-    from lcatch.syntax import UNIT_TYPE
     for seed in range(100):
-        t = gen_term(GenConfig(seed=seed, max_size=14, target_type=UNIT_TYPE))
+        t = _gen_with_rng(random.Random(seed), 14, UNIT_TYPE)
         assert infer(EMPTY, t) == UNIT_TYPE
 
 
@@ -75,23 +75,29 @@ def test_generator_rule_coverage():
 
 
 # SHA-256 of the printed draws, one per line, for seeds 0-499: (typed,
-# untyped) per size.  A change to either generator changes these on purpose.
+# untyped, typed non-value, typed arrow-free) per size, so every draw of
+# PROPERTY_TABLE is pinned.  A change to a generator changes these on purpose.
 _DRAW_DIGESTS = {
     12: ("ef4740102f69dce3bb144e3f022c996a7afe2823367ede9c933f7c1660b33fb4",
-         "c7bd71f299b686cda9bd9315b86574a9d2348ccd33e88c190b417ce114859143"),
+         "c7bd71f299b686cda9bd9315b86574a9d2348ccd33e88c190b417ce114859143",
+         "c9949c5fd6d0dff6927b29ddf4caa288371bc1eae98c619d2265b43affb9a7db",
+         "743882a9afa6cacce333bcf1e172642c8656fba9cfa6a236aaf6b8648866fff8"),
     20: ("9c8e6c74c5d2b6cdac0ff51264152651ae2f5066de81dacbd14df08ddec81725",
-         "c491de74be3b7f2ec062d69818ec3a8f85dcabeca38688a725fac17f92b3ebb4"),
+         "c491de74be3b7f2ec062d69818ec3a8f85dcabeca38688a725fac17f92b3ebb4",
+         "de1919c02eed2ad146ae2dfe60dd0344fafad6dfa812dcdcc24c06446fb8ddba",
+         "3ac263b83db939624a8a9d44bb8a26590fae4d68642cbccb80a01111fc3d652a"),
 }
 
 
 @pytest.mark.parametrize("max_size", sorted(_DRAW_DIGESTS))
 def test_draws_are_pinned(max_size):
-    typed, untyped = hashlib.sha256(), hashlib.sha256()
+    draws = (lambda rng, cfg: gen_term(cfg), _draw_untyped, _draw_non_value, _draw_arrow_free)
+    digests = [hashlib.sha256() for _ in draws]
     for seed in range(500):
         cfg = GenConfig(seed=seed, max_size=max_size)
-        typed.update(print_term(gen_term(cfg)).encode() + b"\n")
-        untyped.update(print_term(_draw_untyped(random.Random(seed), cfg)).encode() + b"\n")
-    assert (typed.hexdigest(), untyped.hexdigest()) == _DRAW_DIGESTS[max_size]
+        for draw, digest in zip(draws, digests):
+            digest.update(print_term(draw(random.Random(seed), cfg)).encode() + b"\n")
+    assert tuple(digest.hexdigest() for digest in digests) == _DRAW_DIGESTS[max_size]
 
 
 def test_gen_config_validates_max_size():
@@ -119,10 +125,10 @@ def test_run_property_zero_cases():
     assert report.cases_run == 0 and report.passed
 
 
-def test_run_property_counts_only_checked_cases():
+def test_run_property_counts_only_checked_cases(monkeypatch):
     # at size 1 every unit-typed term is the value (), so Progress skips all
-    cfg = GenConfig(seed=0, max_size=1, target_type=UNIT_TYPE)
-    report = run_property("Progress", 5, cfg)
+    monkeypatch.setattr(metatheory, "_random_type", lambda *args, **kwargs: UNIT_TYPE)
+    report = run_property("Progress", 5, GenConfig(seed=0, max_size=1))
     assert report.render() == "PROP Progress CASES 0 FAILURES 0"
 
 

@@ -1,9 +1,9 @@
 import pytest
 
-from lcatch.prelude import NotANumeral, decode_nat, encode_nat, library, prelude_defs
+from lcatch.prelude import NotANumeral, decode_nat, library, prelude_defs
 from lcatch.reduction import OutcomeKind, evaluate
 from lcatch.surface import expand_term, parse_term, print_type
-from lcatch.syntax import Nil, UNIT, cons, free_vars
+from lcatch.syntax import Nil, UNIT, cons, free_vars, numeral
 from lcatch.typecheck import TypingEnv, check
 
 from test_confluence import join
@@ -25,27 +25,39 @@ def run_nat(src):
 
 
 def test_encode_zero_is_nil():
-    assert encode_nat(0) == Nil()
+    assert numeral(0) == Nil()
 
 
 def test_encode_two():
-    assert encode_nat(2) == cons(UNIT, cons(UNIT, Nil()))
+    assert numeral(2) == cons(UNIT, cons(UNIT, Nil()))
 
 
 def test_encode_decode_round_trip():
     for n in range(30):
-        assert decode_nat(encode_nat(n)) == n
+        assert decode_nat(numeral(n)) == n
 
 
 def test_encode_rejects_negative():
     with pytest.raises(ValueError):
-        encode_nat(-1)
+        numeral(-1)
 
 
 def test_decode_rejects_non_numerals():
     for src in ["\\x. x", "[[]]", "cons () x"]:
         with pytest.raises(NotANumeral):
             decode_nat(p(src))
+
+
+@pytest.mark.parametrize("src, message", [
+    ("cons ()", "not a numeral: App(fun=ConsC(), arg=UnitVal())"),
+    ("[(), []]", "not a numeral: App(fun=App(fun=ConsC(), arg=Nil()), arg=Nil())"),
+    ("cons () (\\x. x)", "not a numeral: Lam(param='x', annot=None, body=Var(name='x'))"),
+])
+def test_decode_names_the_first_part_that_is_no_numeral(src, message):
+    # a partial cell, a cell whose head is not (), and a cell whose tail is no list
+    with pytest.raises(NotANumeral) as err:
+        decode_nat(p(src))
+    assert str(err.value) == message
 
 
 # ------------- the library -------------

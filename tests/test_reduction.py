@@ -10,7 +10,7 @@ import lcatch.reduction as reduction
 from lcatch.cli import render_trace
 from lcatch.confluence import complete_development
 from lcatch.metatheory import GenConfig, _gen_untyped, gen_term
-from lcatch.prelude import encode_nat, prelude_defs
+from lcatch.prelude import prelude_defs
 from lcatch.reduction import (
     Outcome, OutcomeKind, ReductionEvent, Rule, _classify, contract,
     enumerate_redexes, evaluate, step_cbv,
@@ -18,7 +18,7 @@ from lcatch.reduction import (
 from lcatch.surface import expand_term, parse_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Throw, UNIT, Var, alpha_eq, canonical,
-    children, fcv, free_vars, replace_at, subst, subterm_at,
+    children, fcv, free_vars, numeral, replace_at, subst, subterm_at,
 )
 
 from test_syntax import deep, draw, identical, oracle_canonical
@@ -379,12 +379,12 @@ def test_typed_redex_free_terms_are_values_or_throws():
 def test_evaluate_product_example():
     out = run("prodz [#4, #0, #9]")
     assert out.kind is OutcomeKind.VALUE
-    assert alpha_eq(out.term, encode_nat(0))
+    assert alpha_eq(out.term, numeral(0))
 
 
 def test_evaluate_pred():
     out = run("pred #3", keep_trace=True)
-    assert alpha_eq(out.term, encode_nat(2))
+    assert alpha_eq(out.term, numeral(2))
     assert out.steps == len(out.trace)
 
 

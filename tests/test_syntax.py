@@ -15,12 +15,12 @@ import pytest
 from lcatch import syntax
 from lcatch.confluence import complete_development
 from lcatch.metatheory import GenConfig, _draw_untyped, _gen_untyped, gen_term
-from lcatch.prelude import encode_nat, prelude_defs
+from lcatch.prelude import prelude_defs
 from lcatch.reduction import Rule, contractum, enumerate_redexes, redex
 from lcatch.surface import parse_term
 from lcatch.syntax import (
     App, Catch, ConsC, Lam, LrecC, Nil, Term, Throw, Type, UNIT, UnitVal, Var, VarSets,
-    alpha_eq, canonical, children, cons, fcv, free_vars, fresh_name, lrec,
+    alpha_eq, canonical, children, cons, fcv, free_vars, fresh_name, is_cons_cell, lrec,
     numeral, rename_cont_var, replace_child, size, subst,
 )
 
@@ -931,7 +931,7 @@ def _spine_funs(t):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 300])
 def test_every_cell_of_a_numeral_shares_one_cons_unit_node(n):
-    for t in (p(f"#{n}"), encode_nat(n), numeral(n)):
+    for t in (p(f"#{n}"), numeral(n)):
         funs, tail = _spine_funs(t)
         assert type(tail) is Nil and len(funs) == n
         assert all(fun is funs[0] for fun in funs)
@@ -943,6 +943,15 @@ def test_numeral_rejects_a_negative_count():
     # a negative count builds no [] that carries a numeral's type memo
     with pytest.raises(ValueError, match="cannot encode a negative number"):
         numeral(-1)
+
+
+@pytest.mark.parametrize("src, full", [
+    ("cons () []", True), ("[(), ()]", True), ("#3", True),
+    ("cons ()", False), ("cons", False), ("[]", False),
+    ("lrec [] (\\h. \\t. \\r. r) []", False), ("\\x. x", False), ("(\\x. x) ()", False),
+])
+def test_is_cons_cell_truth_table(src, full):
+    assert is_cons_cell(p(src)) is full
 
 
 @deep
