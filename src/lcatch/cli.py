@@ -21,9 +21,8 @@ import functools
 import sys
 from typing import Optional
 
-from . import metatheory, prelude
+from . import prelude
 from .reduction import DEFAULT_FUEL, Outcome, OutcomeKind, enumerate_redexes, evaluate
-from .confluence import complete_development
 from .surface import ParseError, expand_defs, expand_term, parse_program, parse_term, print_term, print_type
 from .syntax import Term
 from .typecheck import TypingEnv, TypingError, infer
@@ -35,8 +34,6 @@ EXIT_UNCAUGHT = 3
 EXIT_FUEL = 4
 EXIT_META = 5
 EXIT_RESOURCE = 6
-
-_SHORT_NAMES = {row.short: row.name for row in metatheory.PROPERTY_TABLE}
 
 
 def _load_scope(prelude_path: Optional[str], use_prelude: bool) -> list[tuple[str, Term]]:
@@ -112,6 +109,7 @@ def cmd_redexes(args: argparse.Namespace) -> int:
 
 
 def cmd_develop(args: argparse.Namespace) -> int:
+    from .confluence import complete_development
     if args.rounds < 1:
         print("error: --rounds must be at least 1", file=sys.stderr)
         return EXIT_PARSE
@@ -123,19 +121,21 @@ def cmd_develop(args: argparse.Namespace) -> int:
 
 
 def cmd_meta(args: argparse.Namespace) -> int:
+    from . import metatheory  # here, like confluence in cmd_develop, so eval compiles neither
     if args.size < 1:
         print("error: --size must be at least 1", file=sys.stderr)
         return EXIT_PARSE
     if args.cases < 0:
         print("error: --cases must be at least 0", file=sys.stderr)
         return EXIT_PARSE
+    short_names = {row.short: row.name for row in metatheory.PROPERTY_TABLE}
     keys = (metatheory.PROPERTIES if args.props == "all"
             else [raw.strip() for raw in args.props.split(",")])
-    props = [_SHORT_NAMES.get(key.lower(), key) for key in keys]
+    props = [short_names.get(key.lower(), key) for key in keys]
     for key, name in zip(keys, props):
         if name not in metatheory.PROPERTIES:
             print(f"error: unknown property {key!r} "
-                  f"(known: {', '.join(sorted(_SHORT_NAMES))})", file=sys.stderr)
+                  f"(known: {', '.join(sorted(short_names))})", file=sys.stderr)
             return EXIT_PARSE
     cfg = metatheory.GenConfig(seed=args.seed, max_size=args.size)
     failed = False
@@ -194,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_meta = sub.add_parser("meta", help="run metatheory property suites")
     p_meta.add_argument("--props", default="all",
-                        help="comma-separated properties (default all); "
-                             "short names: " + ", ".join(sorted(_SHORT_NAMES)))
+                        help="comma-separated properties or their short names (default all)")
     p_meta.add_argument("--cases", type=int, default=1000,
                         help="generated terms per property (default 1000)")
     p_meta.add_argument("--seed", type=int, default=0,
