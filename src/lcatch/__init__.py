@@ -15,7 +15,7 @@ _EXPORTS = {
     "typecheck": "ErrorKind TypingEnv TypingError check derivable infer is_arrow_free",
     "reduction": "Outcome OutcomeKind ReductionEvent Rule contract enumerate_redexes evaluate step_cbv",
     "confluence": "complete_development parallel_reducts",
-    "prelude": "NamedTerm NotANumeral decode_nat library",
+    "prelude": "NotANumeral decode_nat library",
     "metatheory": "GenConfig PropertyReport gen_term minimize run_property",
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}

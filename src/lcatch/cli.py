@@ -41,7 +41,7 @@ def _load_scope(prelude_path: Optional[str], use_prelude: bool) -> list[tuple[st
         return []
     if prelude_path is None:
         # the type-checked library, so inference reuses each definition's type
-        return [(entry.name, entry.term) for entry in prelude.library()]
+        return list(prelude.library())
     with open(prelude_path, encoding="utf-8-sig") as handle:
         return expand_defs(parse_program(handle.read()))
 
@@ -58,7 +58,7 @@ def render_trace(outcome: Outcome, sugar: bool = False) -> list[str]:
         f"step {k}: [{event.rule.value}] {print_term(event.result, sugar=sugar)}"
         for k, event in enumerate(outcome.trace, start=1)
     ]
-    if outcome.trace_truncated:
+    if len(outcome.trace) < outcome.steps:
         lines.append(f"... trace truncated after {len(outcome.trace)} events ...")
     return lines
 
@@ -91,7 +91,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if outcome.kind is OutcomeKind.VALUE:
         return EXIT_OK
     if outcome.kind is OutcomeKind.UNCAUGHT_THROW:
-        print(f"uncaught throw to {outcome.cont}", file=sys.stderr)
+        print(f"uncaught throw to {outcome.term.cont}", file=sys.stderr)
         return EXIT_UNCAUGHT
     if outcome.kind is OutcomeKind.OUT_OF_FUEL:
         print(f"out of fuel after {outcome.steps} steps", file=sys.stderr)

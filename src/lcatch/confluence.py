@@ -19,7 +19,7 @@ of t, t' parallel-steps to the complete development of t.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Optional
+from typing import Optional
 
 from .reduction import _THROW, Rule, contractum, enumerate_redexes, redex
 from .syntax import App, Catch, Lam, Term, Throw, fcv
@@ -111,38 +111,34 @@ def parallel_reducts(t: Term) -> list[Term]:
     `hash` (the first of each alpha class is kept), with `t` itself first
     (reflexivity).
     """
-    return _preds(t)
-
-
-def _preds(t: Term) -> list[Term]:
-    def gen() -> Iterator[Term]:
-        # congruence
-        match t:
-            case App(fun, arg):
-                for f, a in product(_preds(fun), _preds(arg)):
-                    yield App(f, a)
-            case Catch(cont, body):
-                for b in _preds(body):
-                    yield Catch(cont, b)
-            case Lam(param, annot, body):
-                for b in _preds(body):
-                    yield Lam(param, annot, b)
-        # a root contraction on parallel reducts of its slots
-        found = _view_redex(t)
-        if found is not None:
-            rule, slots = found
-            for combo in product(*map(_preds, slots)):
-                yield contractum(rule, t, combo)
-        # a throw jumps over any compound context; the empty context is
-        # the congruence for throw
-        for throw in throw_decompositions(t):
-            for p in _preds(throw.payload):
-                yield Throw(throw.cont, p)
-
+    out: dict[Term, None] = {}
+    # congruence
     match t:
-        case App() | Throw() | Catch() | Lam():
-            return list(dict.fromkeys(gen()))
-    return [t]
+        case App(fun, arg):
+            for f, a in product(parallel_reducts(fun), parallel_reducts(arg)):
+                out[App(f, a)] = None
+        case Catch(cont, body):
+            for b in parallel_reducts(body):
+                out[Catch(cont, b)] = None
+        case Lam(param, annot, body):
+            for b in parallel_reducts(body):
+                out[Lam(param, annot, b)] = None
+        case Throw():
+            pass
+        case _:
+            return [t]
+    # a root contraction on parallel reducts of its slots
+    found = _view_redex(t)
+    if found is not None:
+        rule, slots = found
+        for combo in product(*map(parallel_reducts, slots)):
+            out[contractum(rule, t, combo)] = None
+    # a throw jumps over any compound context; the empty context is the
+    # congruence for throw
+    for throw in throw_decompositions(t):
+        for p in parallel_reducts(throw.payload):
+            out[Throw(throw.cont, p)] = None
+    return list(out)
 
 
 # The most one-step reductions `reachable_by_reduction` looks at.

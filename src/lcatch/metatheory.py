@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .confluence import complete_development, parallel_reducts, reachable_by_reduction
 from .reduction import OutcomeKind, enumerate_redexes, evaluate, step_cbv
@@ -24,7 +24,7 @@ from .surface import print_term, print_type
 from .syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, Nil, Term, Throw,
     Type, UNIT, UNIT_TYPE, UnitVal, Var, children, cons, fcv,
-    is_cons_cell, lrec, replace_at, size, subterm_at,
+    is_cons_cell, lrec, replace_child, size,
 )
 from .typecheck import TypingEnv, TypingError, derivable, infer, is_arrow_free
 
@@ -236,9 +236,9 @@ def gen_term(cfg: GenConfig) -> Term:
 def minimize(t: Term, failing: Callable[[Term], bool]) -> Term:
     """Greedily shrink `t` while `failing` stays true.
 
-    Tries, at every position, the unit and nil probes and each direct
-    child of the subterm there; accepts a replacement when it decreases
-    the (size, non-unit) measure.  The result is locally minimal.
+    Takes the first candidate of `_shrinks` that decreases the (size,
+    non-unit) measure and still fails, and repeats until none does.  The
+    result is locally minimal.
     """
     if not failing(t):
         raise ValueError("minimize requires a failing input")
@@ -246,28 +246,24 @@ def minimize(t: Term, failing: Callable[[Term], bool]) -> Term:
     def measure(u: Term) -> tuple[int, int]:
         return (size(u), 0 if isinstance(u, UnitVal) else 1)
 
-    improved = True
-    while improved:
-        improved = False
-        for path in _paths(t, ()):
-            sub = subterm_at(t, path)
-            for candidate in (UNIT, Nil(), *children(sub)):
-                replaced = replace_at(t, path, candidate)
-                if measure(replaced) < measure(t) and failing(replaced):
-                    t = replaced
-                    improved = True
-                    break
-            if improved:
+    while True:
+        for candidate in _shrinks(t):
+            if measure(candidate) < measure(t) and failing(candidate):
+                t = candidate
                 break
-    return t
+        else:
+            return t
 
 
-def _paths(u: Term, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every position in `u`, in preorder, each prefixed by `prefix`."""
-    out = [prefix]
-    for i, child in enumerate(children(u)):
-        out.extend(_paths(child, prefix + (i,)))
-    return out
+def _shrinks(t: Term) -> Iterator[Term]:
+    """`t` with one position replaced, positions in preorder: at each, the
+    unit and nil probes and then each child of the subterm there."""
+    yield UNIT
+    yield Nil()
+    yield from children(t)
+    for i, child in enumerate(children(t)):
+        for candidate in _shrinks(child):
+            yield replace_child(t, i, candidate)
 
 
 # ---------------------------------------------------------------------------

@@ -8,26 +8,16 @@ times, prodz) are expanded by substitution and type checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 from functools import lru_cache
-from importlib import resources
 
 from .surface import SourceProgram, expand_defs, parse_program
-from .syntax import Nil, Term, Type, UnitVal, is_cons_cell
+from .syntax import Nil, Term, UnitVal, is_cons_cell
 from .typecheck import TypingEnv, infer
 
 
 class NotANumeral(Exception):
     """Raised when decoding a term that is not suc^n zero."""
-
-
-@dataclass(frozen=True)
-class NamedTerm:
-    """A closed, typechecked prelude definition."""
-
-    name: str
-    term: Term
-    declared_type: Type
 
 
 def decode_nat(v: Term) -> int:
@@ -42,7 +32,8 @@ def decode_nat(v: Term) -> int:
 
 
 def prelude_source() -> str:
-    return resources.files(__package__).joinpath("prelude.lc").read_text()
+    with open(os.path.join(os.path.dirname(__file__), "prelude.lc"), encoding="utf-8") as handle:
+        return handle.read()
 
 
 @lru_cache(maxsize=1)
@@ -57,8 +48,11 @@ def prelude_defs() -> tuple[tuple[str, Term], ...]:
 
 
 @lru_cache(maxsize=1)
-def library() -> tuple[NamedTerm, ...]:
-    """All prelude definitions, expanded and typechecked."""
+def library() -> tuple[tuple[str, Term], ...]:
+    """All prelude definitions, expanded and typechecked: `prelude_defs()`,
+    each term carrying the type `infer` stores on its node."""
+    defs = prelude_defs()
     env = TypingEnv()
-    return tuple(NamedTerm(name, term, infer(env, term))
-                 for name, term in prelude_defs())
+    for _name, term in defs:
+        infer(env, term)
+    return defs

@@ -208,26 +208,24 @@ class Outcome:
     """Result of deterministic evaluation.
 
     `term` is the final (or partial, for OUT_OF_FUEL) term; for
-    UNCAUGHT_THROW, `cont` names the free continuation and `term` still
-    holds the whole `throw cont v` normal form.  `steps` counts applied
-    rules exactly; `trace` is kept only on request and truncated at
-    TRACE_CAP events.
+    UNCAUGHT_THROW it is the whole `throw cont v` normal form.  `steps`
+    counts applied rules exactly; `trace` is kept only on request and
+    truncated at TRACE_CAP events, so it is shorter than `steps` exactly
+    when it lost some.
     """
 
     kind: OutcomeKind
     term: Term
     steps: int
-    cont: Optional[str] = None
     trace: Optional[list[ReductionEvent]] = None
-    trace_truncated: bool = False
 
 
-def _classify(t: Term) -> tuple[OutcomeKind, Optional[str]]:
+def _classify(t: Term) -> OutcomeKind:
     if t.value:
-        return OutcomeKind.VALUE, None
+        return OutcomeKind.VALUE
     if type(t) is Throw and t.payload.value:
-        return OutcomeKind.UNCAUGHT_THROW, t.cont
-    return OutcomeKind.ILL_FORMED, None
+        return OutcomeKind.UNCAUGHT_THROW
+    return OutcomeKind.ILL_FORMED
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +456,7 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, keep_trace: bool = False) -> Out
             focus = _readback(t, env) if evaluating else _term(v)
             trace.append(ReductionEvent(rule, path, _whole(frames, focus)))
     t = _whole(frames, _readback(t, env) if evaluating else _term(v))
-    # every contraction records one event, so the trace lost some past the cap
-    truncated = trace is not None and steps > TRACE_CAP
-    if out_of_fuel:
-        return Outcome(OutcomeKind.OUT_OF_FUEL, t, steps, None, trace, truncated)
-    kind, cont = _classify(t)
-    return Outcome(kind, t, steps, cont, trace, truncated)
+    return Outcome(OutcomeKind.OUT_OF_FUEL if out_of_fuel else _classify(t), t, steps, trace)
 
 
 def step_cbv(t: Term) -> Optional[ReductionEvent]:

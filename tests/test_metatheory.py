@@ -14,9 +14,12 @@ from lcatch.prelude import prelude_defs
 from lcatch.reduction import Outcome, OutcomeKind, Rule, enumerate_redexes, evaluate
 from lcatch.surface import expand_term, parse_term, print_term
 from lcatch.syntax import (
-    CONS, App, ArrowType, Catch, ListType, Nil, UNIT, UNIT_TYPE, alpha_eq, canonical, size,
+    CONS, App, ArrowType, Catch, ListType, Nil, UNIT, UNIT_TYPE, UnitVal, alpha_eq, canonical,
+    children, replace_at, size, subterm_at,
 )
 from lcatch.typecheck import TypingEnv, infer
+
+from test_syntax import identical
 
 p = parse_term
 EMPTY = TypingEnv()
@@ -228,15 +231,13 @@ def test_minimize_keeps_failure():
     assert size(out) == 3
 
 
-def test_minimize_catch_predicate():
-    def has_catch(u):
-        if isinstance(u, Catch):
-            return True
-        from lcatch.syntax import children
-        return any(has_catch(c) for c in children(u))
+def _holds_catch(u):
+    return isinstance(u, Catch) or any(_holds_catch(c) for c in children(u))
 
+
+def test_minimize_catch_predicate():
     t = p("(\\x. x) (catch a. cons () ((\\y. y) []))")
-    out = minimize(t, has_catch)
+    out = minimize(t, _holds_catch)
     assert isinstance(out, Catch)
     assert size(out) == 2
 
@@ -244,6 +245,74 @@ def test_minimize_catch_predicate():
 def test_minimize_requires_failing_input():
     with pytest.raises(ValueError):
         minimize(UNIT, lambda _u: False)
+
+
+def oracle_minimize(t, failing):
+    """The shrinker by paths: at each position in preorder, try the unit
+    and nil probes and each child of the subterm there, each rebuilt into
+    `t` from the root, and restart from the root after the first that
+    decreases the (size, non-unit) measure and still fails."""
+    if not failing(t):
+        raise ValueError("minimize requires a failing input")
+
+    def measure(u):
+        return (size(u), 0 if isinstance(u, UnitVal) else 1)
+
+    def paths(u, prefix):
+        out = [prefix]
+        for i, child in enumerate(children(u)):
+            out.extend(paths(child, prefix + (i,)))
+        return out
+
+    improved = True
+    while improved:
+        improved = False
+        for path in paths(t, ()):
+            for candidate in (UNIT, Nil(), *children(subterm_at(t, path))):
+                replaced = replace_at(t, path, candidate)
+                if measure(replaced) < measure(t) and failing(replaced):
+                    t = replaced
+                    improved = True
+                    break
+            if improved:
+                break
+    return t
+
+
+def minimize_matching_oracle(t, failing):
+    """`minimize`, checked against `oracle_minimize`: the same result, and
+    the same terms handed to `failing` in the same order."""
+    asked = ([], [])
+
+    def recording(k):
+        def ask(u):
+            asked[k].append(u)
+            return failing(u)
+        return ask
+
+    got = minimize(t, recording(0))
+    want = oracle_minimize(t, recording(1))
+    assert identical(got, want)
+    assert identical(asked[0], asked[1])
+    return got
+
+
+def test_minimize_matches_the_path_shrinker():
+    shrunk = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        t = _gen_untyped(rng, rng.choice((8, 12, 16)), 0)
+        k = rng.randint(1, size(t))
+        rules = sorted({event.rule for event in enumerate_redexes(t)}, key=lambda r: r.value)
+        predicates = [_holds_catch, lambda u, k=k: size(u) >= k]
+        if rules:
+            rule = rng.choice(rules)
+            predicates.append(lambda u, r=rule: any(e.rule is r for e in enumerate_redexes(u)))
+        for failing in predicates:
+            if failing(t):
+                minimize_matching_oracle(t, failing)
+                shrunk += 1
+    assert shrunk >= 600
 
 
 def test_confluence_checks_leave_no_cyclic_garbage():
@@ -346,6 +415,8 @@ _MUTANT_REPORTS = {
 def test_property_reports_under_planted_mutant(monkeypatch, mutant):
     name, replacement = _MUTANTS[mutant]
     monkeypatch.setattr(metatheory, name, replacement)
+    # every failure the table shrinks is shrunk by the path shrinker too
+    monkeypatch.setattr(metatheory, "minimize", minimize_matching_oracle)
     for prop in PROPERTIES:
         max_size = 12 if prop in _CONFLUENCE else 16
         report = run_property(prop, 6, GenConfig(seed=40, max_size=max_size))

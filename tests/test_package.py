@@ -8,6 +8,7 @@ interpreter, whose `sys.modules` no other test has filled.
 
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ EXPORTS = {
     "reduction": ["Outcome", "OutcomeKind", "ReductionEvent", "Rule", "contract",
                   "enumerate_redexes", "evaluate", "step_cbv"],
     "confluence": ["complete_development", "parallel_reducts"],
-    "prelude": ["NamedTerm", "NotANumeral", "decode_nat", "library"],
+    "prelude": ["NotANumeral", "decode_nat", "library"],
     "metatheory": ["GenConfig", "PropertyReport", "gen_term", "minimize", "run_property"],
 }
 LAYERS = set(EXPORTS)
@@ -57,6 +58,21 @@ def test_library_loads_only_the_layers_it_uses():
                                     "lcatch.typecheck", "lcatch.prelude"}
 
 
+def test_library_runs_from_a_copy_of_the_package_alone(tmp_path):
+    # the prelude is read from the file beside the modules, so the package
+    # directory is all an interpreter needs on its path
+    shutil.copytree(Path(lcatch.__file__).parent, tmp_path / "lcatch",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    script = ("import sys\nsys.path.insert(0, sys.argv[1])\n"
+              "import lcatch\nfrom lcatch import prelude\n"
+              "assert lcatch.__file__.startswith(sys.argv[1]), lcatch.__file__\n"
+              "print(*(name for name, _term in prelude.library()))\n")
+    done = subprocess.run([sys.executable, "-I", "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["nrec", "pred", "plus", "times", "prodz"]
+
+
 @pytest.mark.parametrize("argv, needs", [
     (["eval", "-e", "pred #3"], set()),
     (["redexes", "-e", "pred #3"], set()),
@@ -79,7 +95,7 @@ def test_each_command_loads_metatheory_and_confluence_only_if_it_runs_them(
 
 def test_all_holds_every_export_once():
     names = [name for layer in EXPORTS.values() for name in layer]
-    assert len(names) == len(set(names)) == 52
+    assert len(names) == len(set(names)) == 51
     assert sorted(lcatch.__all__) == sorted(names)
 
 

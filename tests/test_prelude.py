@@ -4,7 +4,7 @@ from lcatch.prelude import NotANumeral, decode_nat, library, prelude_defs
 from lcatch.reduction import OutcomeKind, evaluate
 from lcatch.surface import expand_term, parse_term, print_type
 from lcatch.syntax import Nil, UNIT, cons, free_vars, numeral
-from lcatch.typecheck import TypingEnv, check
+from lcatch.typecheck import TypingEnv, check, infer
 
 from test_confluence import join
 
@@ -64,20 +64,20 @@ def test_decode_names_the_first_part_that_is_no_numeral(src, message):
 
 
 def test_library_names():
-    assert [entry.name for entry in library()] == [
+    assert [name for name, _term in library()] == [
         "nrec", "pred", "plus", "times", "prodz"]
 
 
 def test_library_terms_are_closed_and_typed():
     env = TypingEnv()
-    for entry in library():
-        free = free_vars(entry.term)
+    for _name, term in library():
+        free = free_vars(term)
         assert not free.term_vars and not free.cont_vars
-        check(env, entry.term, entry.declared_type)
+        check(env, term, infer(env, term))
 
 
 def test_library_declared_types():
-    declared = {entry.name: entry.declared_type for entry in library()}
+    declared = {name: infer(TypingEnv(), term) for name, term in library()}
     assert print_type(declared["pred"]) == "[1] -> [1]"
     assert print_type(declared["plus"]) == "[1] -> [1] -> [1]"
     assert print_type(declared["times"]) == "[1] -> [1] -> [1]"

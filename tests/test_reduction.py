@@ -391,7 +391,7 @@ def test_evaluate_pred():
 def test_evaluate_uncaught_throw():
     out = evaluate(Throw("b", UNIT), fuel=10)
     assert out.kind is OutcomeKind.UNCAUGHT_THROW
-    assert out.cont == "b"
+    assert out.term.cont == "b"
     assert out.term.payload.value
 
 
@@ -493,31 +493,24 @@ def oracle_step(t):
 def oracle_evaluate(t, fuel, keep_trace=False):
     """Iterate oracle_step for at most `fuel` rule applications."""
     trace = [] if keep_trace else None
-    truncated = False
     steps = 0
     while steps < fuel:
         event = oracle_step(t)
         if event is None:
-            kind, cont = _classify(t)
-            return Outcome(kind, t, steps, cont, trace, truncated)
+            return Outcome(_classify(t), t, steps, trace)
         steps += 1
         t = event.result
-        if trace is not None:
-            if len(trace) < reduction.TRACE_CAP:
-                trace.append(event)
-            else:
-                truncated = True
+        if trace is not None and len(trace) < reduction.TRACE_CAP:
+            trace.append(event)
     if oracle_step(t) is None:
-        kind, cont = _classify(t)
-        return Outcome(kind, t, steps, cont, trace, truncated)
-    return Outcome(OutcomeKind.OUT_OF_FUEL, t, steps, None, trace, truncated)
+        return Outcome(_classify(t), t, steps, trace)
+    return Outcome(OutcomeKind.OUT_OF_FUEL, t, steps, trace)
 
 
 def _assert_same_run(t, fuel):
     got = evaluate(t, fuel=fuel, keep_trace=True)
     want = oracle_evaluate(t, fuel, keep_trace=True)
-    assert identical((got.kind, got.term, got.steps, got.cont, got.trace_truncated),
-                     (want.kind, want.term, want.steps, want.cont, want.trace_truncated))
+    assert identical((got.kind, got.term, got.steps), (want.kind, want.term, want.steps))
     assert identical([(e.rule, e.path, e.result) for e in got.trace],
                      [(e.rule, e.path, e.result) for e in want.trace])
 
@@ -542,7 +535,8 @@ def test_machine_matches_oracle_past_trace_cap(monkeypatch):
     monkeypatch.setattr(reduction, "TRACE_CAP", 7)
     t = expand_term(p("times #2 #2"), list(prelude_defs()))
     _assert_same_run(t, reduction.DEFAULT_FUEL)
-    assert evaluate(t, keep_trace=True).trace_truncated
+    out = evaluate(t, keep_trace=True)
+    assert len(out.trace) < out.steps
 
 
 # every fuel from 0 to the run's step count, so an out-of-fuel stop lands
@@ -648,4 +642,4 @@ def test_a_traced_run_reads_back_no_term_past_the_trace_cap(monkeypatch):
         counts.append(built)
     assert counts[0] == counts[1]
     assert out.trace == []
-    assert out.trace_truncated
+    assert len(out.trace) < out.steps

@@ -71,7 +71,7 @@ def test_infer_rejects_unconstrained_list_element():
 
 
 def test_infer_prelude_pred_type():
-    declared = {entry.name: entry.declared_type for entry in library()}
+    declared = {name: infer(EMPTY, term) for name, term in library()}
     assert print_type(declared["pred"]) == "[1] -> [1]"
 
 
