@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 
 from .confluence import complete_development, parallel_reducts, reachable_by_reduction
 from .reduction import OutcomeKind, enumerate_redexes, evaluate, step_cbv
-from .surface import print_term, print_type
+from .surface import print_term
 from .syntax import (
     App, ArrowType, Catch, ConsC, Lam, ListType, LrecC, Nil, Term, Throw,
     Type, UNIT, UNIT_TYPE, UnitVal, Var, children, cons, fcv,
@@ -43,7 +43,7 @@ class GenConfig:
 class PropertyReport:
     property: str
     cases_run: int
-    failures: list[tuple[int, Term, str]] = field(default_factory=list, init=False)
+    failures: list[tuple[int, Term]] = field(default_factory=list, init=False)
     inconclusive: int = field(default=0, init=False)
 
     @property
@@ -53,7 +53,7 @@ class PropertyReport:
     def render(self) -> str:
         lines = [f"PROP {self.property} CASES {self.cases_run} "
                  f"FAILURES {len(self.failures)}"]
-        for seed, term, _detail in self.failures:
+        for seed, term in self.failures:
             lines.append(f"FAIL seed={seed} term={print_term(term)}")
         return "\n".join(lines)
 
@@ -90,15 +90,13 @@ def _canonical_inhabitant(ty: Type, depth: int = 0) -> Term:
 def _gen_typed(rng: random.Random, ty: Type, gamma: dict[str, Type],
                delta: dict[str, Type], budget: int, depth: int,
                cont_room: int) -> Term:
+    var_candidates = sorted(x for x, t in gamma.items() if t == ty)
     if budget <= 1 or depth > 14:
-        candidates = [x for x, t in gamma.items() if t == ty]
-        if candidates and rng.random() < 0.6:
-            return Var(rng.choice(sorted(candidates)))
+        if var_candidates and rng.random() < 0.6:
+            return Var(rng.choice(var_candidates))
         return _canonical_inhabitant(ty)
 
     options: list[tuple[float, Callable[[], Term]]] = []
-
-    var_candidates = sorted(x for x, t in gamma.items() if t == ty)
     if var_candidates:
         options.append((1.5, lambda: Var(rng.choice(var_candidates))))
     options.append((1.0, lambda: _canonical_inhabitant(ty)))
@@ -210,15 +208,22 @@ def _gen_untyped(rng: random.Random, budget: int, depth: int) -> Term:
 # ---------------------------------------------------------------------------
 # Public generator
 
+_EMPTY_ENV = TypingEnv()
+
+
+def _is_well_typed(t: Term) -> bool:
+    try:
+        infer(_EMPTY_ENV, t)
+        return True
+    except TypingError:
+        return False
+
 
 def _gen_with_rng(rng: random.Random, max_size: int, target: Type) -> Term:
     for _ in range(20):
         term = _gen_typed(rng, target, {}, {}, max_size, 0, _CONT_DEPTH)
-        try:
-            infer(_EMPTY_ENV, term)
+        if _is_well_typed(term):
             return term
-        except TypingError:
-            continue
     # A bare inhabitant such as `[]` leaves its element type open, so the
     # identity at the target pins the type for inference.
     return App(Lam("x", target, Var("x")), _canonical_inhabitant(target))
@@ -299,8 +304,10 @@ def reduction_graph_status(t: Term) -> str:
 
 # ---------------------------------------------------------------------------
 # Properties.  A draw maps a case's RNG and the run's configuration to the
-# case's term, or to None to skip the case; a check maps the term to None
-# when the property holds, else a failure detail.
+# case's term, or to None to skip the case.  A check is the property's
+# statement about the term: True when it holds, False when it fails, and
+# None when the case settles nothing (a reduction graph that outgrows the
+# node cap, or a reachability search that spends its budget).
 
 
 def _draw_typed(rng: random.Random, cfg: GenConfig) -> Term:
@@ -325,63 +332,47 @@ def _draw_arrow_free(rng: random.Random, cfg: GenConfig) -> Term:
     return _gen_with_rng(rng, cfg.max_size, _random_type(rng, depth=2, arrows=False))
 
 
-# The detail of a case that settles nothing: a reduction graph that outgrows
-# the node cap, or a reachability search that spends its budget.
-INCONCLUSIVE = "inconclusive"
-
-_EMPTY_ENV = TypingEnv()
-
-
-def _is_well_typed(t: Term) -> bool:
-    try:
-        infer(_EMPTY_ENV, t)
-        return True
-    except TypingError:
-        return False
-
-
-def _check_subject_reduction(t: Term) -> Optional[str]:
+def _check_subject_reduction(t: Term) -> bool:
     ty = infer(_EMPTY_ENV, t)
     for event in enumerate_redexes(t):
         if not derivable(_EMPTY_ENV, event.result, ty):
-            return f"reduct via {event.rule.value} no longer types at {print_type(ty)}"
-    return None
+            return False
+    return True
 
 
-def _check_progress(t: Term) -> Optional[str]:
-    if not t.value and step_cbv(t) is None:
-        return "closed well-typed non-value has no CBV step"
-    return None
+def _check_progress(t: Term) -> bool:
+    return t.value or step_cbv(t) is not None
 
 
-def _check_red_subset_pred(t: Term) -> Optional[str]:
+def _check_red_subset_pred(t: Term) -> bool:
     reducts = set(parallel_reducts(t))
     for event in enumerate_redexes(t):
         if event.result not in reducts:
-            return f"one-step reduct via {event.rule.value} is not a parallel reduct"
-    return None
+            return False
+    return True
 
 
-def _check_pred_subset_redd(t: Term) -> Optional[str]:
-    detail = None
+def _check_pred_subset_redd(t: Term) -> Optional[bool]:
+    verdict = True
     for u in parallel_reducts(t):
         reached = reachable_by_reduction(t, u)
         if reached is False:
-            return f"parallel reduct {print_term(u)} not reached by ->*"
+            return False
         if reached is None:
-            detail = INCONCLUSIVE
-    return detail
+            verdict = None
+    return verdict
 
 
-def _steps_to_development(message: str) -> Callable[[Term], Optional[str]]:
-    """The check that every parallel reduct steps in parallel to the development."""
-    def check(t: Term) -> Optional[str]:
-        developed = complete_development(t)
-        for u in parallel_reducts(t):
-            if developed not in parallel_reducts(u):
-                return message.format(print_term(u))
-        return None
-    return check
+def _check_takahashi(t: Term) -> bool:
+    """Every parallel reduct steps in parallel to the complete development.
+
+    This is also the Diamond check: the development is the joining witness
+    of any two parallel reducts (Takahashi, 1995)."""
+    developed = complete_development(t)
+    for u in parallel_reducts(t):
+        if developed not in parallel_reducts(u):
+            return False
+    return True
 
 
 # Terms of at most this size get their full reduction graph explored for
@@ -389,15 +380,11 @@ def _steps_to_development(message: str) -> Callable[[Term], Optional[str]]:
 _SN_GRAPH_SIZE = 12
 
 
-def _check_sn(t: Term) -> Optional[str]:
+def _check_sn(t: Term) -> Optional[bool]:
     if size(t) <= _SN_GRAPH_SIZE:
         status = reduction_graph_status(t)
-        if status == "cyclic":
-            return "reduction cycle found on a well-typed term"
-        return INCONCLUSIVE if status == "overflow" else None
-    if evaluate(t).kind is OutcomeKind.OUT_OF_FUEL:
-        return "evaluation ran out of fuel on a well-typed term"
-    return None
+        return None if status == "overflow" else status == "acyclic"
+    return evaluate(t).kind is not OutcomeKind.OUT_OF_FUEL
 
 
 def _value_shape_ok(v: Term, ty: Type) -> bool:
@@ -413,24 +400,15 @@ def _value_shape_ok(v: Term, ty: Type) -> bool:
     return type(v) in (Lam, ConsC, LrecC) or type(v) is App and not is_cons_cell(v)
 
 
-def _check_value_shapes(t: Term) -> Optional[str]:
+def _check_value_shapes(t: Term) -> bool:
     ty = infer(_EMPTY_ENV, t)
     outcome = evaluate(t)
-    if outcome.kind is not OutcomeKind.VALUE:
-        return f"closed well-typed term did not evaluate to a value ({outcome.kind.value})"
-    if not _value_shape_ok(outcome.term, ty):
-        return (f"value {print_term(outcome.term)} has the wrong shape "
-                f"for type {print_type(ty)}")
-    return None
+    return outcome.kind is OutcomeKind.VALUE and _value_shape_ok(outcome.term, ty)
 
 
-def _check_fcv_closed(t: Term) -> Optional[str]:
+def _check_fcv_closed(t: Term) -> bool:
     outcome = evaluate(t)
-    if outcome.kind is not OutcomeKind.VALUE:
-        return f"term did not evaluate to a value ({outcome.kind.value})"
-    if fcv(outcome.term):
-        return "value of arrow-free type has free continuation variables"
-    return None
+    return outcome.kind is OutcomeKind.VALUE and not fcv(outcome.term)
 
 
 @dataclass(frozen=True)
@@ -439,18 +417,16 @@ class Property:
     short: str    # the name `lcatch meta --props` also takes
     draw: Callable[[random.Random, GenConfig], Optional[Term]]
     shrink: bool  # whether a failing term is shrunk before it is reported
-    check: Callable[[Term], Optional[str]]
+    check: Callable[[Term], Optional[bool]]
 
 
 PROPERTY_TABLE = (
     Property("SubjectReduction", "sr", _draw_typed, True, _check_subject_reduction),
     Property("Progress", "progress", _draw_non_value, True, _check_progress),
-    Property("Diamond", "diamond", _draw_untyped, True,
-             _steps_to_development("diamond witness missing for {}")),
+    Property("Diamond", "diamond", _draw_untyped, True, _check_takahashi),
     Property("RedSubsetPred", "red-pred", _draw_untyped, True, _check_red_subset_pred),
     Property("PredSubsetRedd", "pred-red", _draw_untyped, True, _check_pred_subset_redd),
-    Property("TakahashiMpred", "takahashi", _draw_untyped, True,
-             _steps_to_development("reduct {} does not step to the development")),
+    Property("TakahashiMpred", "takahashi", _draw_untyped, True, _check_takahashi),
     Property("StrongNormalization", "sn", _draw_typed, False, _check_sn),
     Property("ValueShapes", "value-shapes", _draw_typed, False, _check_value_shapes),
     Property("FcvClosed", "fcv", _draw_arrow_free, False, _check_fcv_closed),
@@ -471,7 +447,7 @@ def run_property(prop: str, cases: int, cfg: GenConfig) -> PropertyReport:
     def failing(u: Term) -> bool:
         # a shrunk term stays one the draw could give: in its size cap, or well typed
         in_draw = size(u) <= cfg.max_size if row.draw is _draw_untyped else _is_well_typed(u)
-        return in_draw and row.check(u) not in (None, INCONCLUSIVE)
+        return in_draw and row.check(u) is False
 
     report = PropertyReport(prop, 0)
     for i in range(cases):
@@ -479,11 +455,10 @@ def run_property(prop: str, cases: int, cfg: GenConfig) -> PropertyReport:
         term = row.draw(random.Random(case_seed), cfg)
         if term is None:
             continue
-        detail = row.check(term)
+        verdict = row.check(term)
         report.cases_run += 1
-        if detail is INCONCLUSIVE:
+        if verdict is None:
             report.inconclusive += 1
-        elif detail is not None:
-            report.failures.append(
-                (case_seed, minimize(term, failing) if row.shrink else term, detail))
+        elif verdict is False:
+            report.failures.append((case_seed, minimize(term, failing) if row.shrink else term))
     return report

@@ -113,14 +113,16 @@ class TypingError(Exception):
 class TypingEnv:
     """Term-variable typings (gamma) and continuation typings (delta).
 
-    Every delta entry must be arrow-free; this is validated on
-    construction.
+    No type may hold a metavariable, and every delta entry must be
+    arrow-free; this is validated on construction.
     """
 
     gamma: dict[str, Type] = field(default_factory=dict)
     delta: dict[str, Type] = field(default_factory=dict)
 
     def __post_init__(self):
+        if any(map(type_has_meta, (*self.gamma.values(), *self.delta.values()))):
+            raise ValueError("TypingEnv given a metavariable in a bound type")
         for name, ty in self.delta.items():
             if not is_arrow_free(ty):
                 raise ValueError(

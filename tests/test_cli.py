@@ -132,6 +132,32 @@ def test_eval_deterministic_output():
     assert first == second
 
 
+def test_eval_traces_are_pinned():
+    # the machine's traced output, event paths and binder names included,
+    # for the benchmark's eval ladder's median op among others
+    exprs = ("times #3 #3", "pred #7", "plus #4 #3", "prodz [#2, #0, #3]",
+             "prodz [#2, #1, #3]", "prodz [#1, #4, #2, #5, #0, #6, #3]")
+    outs = [run_cli("eval", "--trace", "--count", "-e", expr) for expr in exprs]
+    assert all(code == 0 and not err for code, _, err in outs)
+    text = "".join(out for _, out, _ in outs)
+    assert text.count("\n") == 396
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "76709a094902c858f1036ded0a41f2c957e6371a8e97db1d37648518404aa353")
+
+
+@pytest.mark.parametrize("expr, steps", [
+    ("times #20 #20", 1785),       # 4nm + 9n + 5
+    ("plus #100 #5", 405),         # 4n + 5
+    ("pred #357", 9),
+    ("prodz [#2, #3, #4]", 319),
+])
+def test_eval_ladder_step_counts(expr, steps):
+    # the paper's observable at the benchmark ladder's sizes
+    code, out, _ = run_cli("eval", "--count", "-e", expr)
+    assert code == 0
+    assert out.splitlines()[-1] == f"steps: {steps}"
+
+
 # ------------- check -------------
 
 

@@ -264,9 +264,8 @@ def test_pred_subset_redd_fails_when_one_reduct_is_unreached_and_another_unsettl
         return None if len(asked) == 1 else False
 
     monkeypatch.setattr(metatheory, "reachable_by_reduction", reachable)
-    detail = metatheory._check_pred_subset_redd(p(TWO_STEPS))
+    assert metatheory._check_pred_subset_redd(p(TWO_STEPS)) is False
     assert len(asked) == 2
-    assert detail == f"parallel reduct {print_term(asked[1])} not reached by ->*"
 
 
 def test_the_default_budget_settles_every_size_20_case():

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from lcatch import metatheory
+from lcatch import confluence, metatheory
 from lcatch.metatheory import (
-    GenConfig, PROPERTIES, PropertyReport, _draw_arrow_free, _draw_non_value, _draw_untyped,
+    GenConfig, PROPERTIES, PROPERTY_TABLE, PropertyReport, _draw_arrow_free, _draw_non_value, _draw_untyped,
     _gen_untyped, _gen_with_rng, _value_shape_ok, gen_term, minimize, reduction_graph_status,
     run_property,
 )
@@ -143,10 +143,40 @@ def test_run_property_rejects_unknown_name():
 def test_report_render_format():
     report = PropertyReport("Progress", 10)
     assert report.render() == "PROP Progress CASES 10 FAILURES 0"
-    report.failures.append((3, UNIT, "boom"))
+    report.failures.append((3, UNIT))
     lines = report.render().splitlines()
     assert lines[0] == "PROP Progress CASES 10 FAILURES 1"
     assert lines[1] == "FAIL seed=3 term=()"
+
+
+# Rows whose check may settle nothing, with the knob that makes it do so.
+_INCONCLUSIVE_KNOBS = {
+    "StrongNormalization": (metatheory, "GRAPH_NODE_CAP", 2),
+    "PredSubsetRedd": (confluence, "_REACH_BUDGET", 1),
+}
+
+
+def _verdicts(row, cases=30):
+    cfg = GenConfig(seed=0, max_size=12)
+    terms = (row.draw(random.Random(cfg.seed + i), cfg) for i in range(cases))
+    return [row.check(t) for t in terms if t is not None]
+
+
+@pytest.mark.parametrize("row", PROPERTY_TABLE, ids=lambda row: row.short)
+def test_each_check_answers_true_on_passing_draws(row):
+    # a check is a predicate: exactly True where the property holds
+    verdicts = _verdicts(row)
+    assert verdicts
+    assert all(verdict is True for verdict in verdicts), verdicts
+
+
+@pytest.mark.parametrize("prop", sorted(_INCONCLUSIVE_KNOBS))
+def test_a_spent_budget_makes_a_check_answer_none(monkeypatch, prop):
+    monkeypatch.setattr(*_INCONCLUSIVE_KNOBS[prop])
+    row = next(row for row in PROPERTY_TABLE if row.name == prop)
+    verdicts = _verdicts(row)
+    assert None in verdicts
+    assert set(verdicts) <= {True, None}, verdicts
 
 
 # ------------- reduction graphs -------------

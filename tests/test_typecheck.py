@@ -134,6 +134,16 @@ def test_check_rejects_meta_in_expected_type():
         check(EMPTY, UNIT, MetaVar(3))
 
 
+@pytest.mark.parametrize("gamma, delta", [
+    ({"f": ArrowType(MetaVar(1), UNIT_TYPE)}, {}),
+    ({}, {"a": ListType(MetaVar(0))}),
+])
+def test_env_rejects_metavariables_at_construction(gamma, delta):
+    # a caller's ?1 would alias the solver's first fresh metavariable
+    with pytest.raises(ValueError, match="metavariable in a bound type"):
+        TypingEnv(gamma=gamma, delta=delta)
+
+
 def test_delta_validated_arrow_free_at_construction():
     with pytest.raises(ValueError):
         TypingEnv(delta={"a": ArrowType(UNIT_TYPE, UNIT_TYPE)})
